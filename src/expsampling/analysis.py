@@ -41,7 +41,8 @@ from .operators import (
     evaluate_on_grid,
     index_set,
     max_product_series_on_grid,
-    _lattice,
+    _band,
+    _join,
 )
 from .spaces import (
     LogGrid,
@@ -480,15 +481,13 @@ def voronovskaja_check(
         rows = evaluate_on_grid("MG", f, kernel, config, x_grid)
         mg = np.array([row.value for row in rows])
 
-        ks, chi, mask, _ = _lattice(kernel, config, vs)
-        offs = ks[None, :] - w * vs[:, None]  # k - w log x
+        first, chi, mask, _ = _band(kernel, config, vs)
+        offs = (first[:, None] + np.arange(chi.shape[1])) - w * vs[:, None]  # k - w log x
         m_pt = {}
         m_abs = {}
         for t in range(0, r + 1):
-            signed = np.where(mask, chi * offs**t, -np.inf).max(axis=1)
-            absol = np.where(mask, np.abs(chi) * np.abs(offs) ** t, -np.inf).max(axis=1)
-            m_pt[t] = signed
-            m_abs[t] = absol
+            m_pt[t] = _join(chi * offs**t, mask)
+            m_abs[t] = _join(np.abs(chi) * np.abs(offs) ** t, mask)
 
         def expansion(moments, m0):
             total = np.zeros_like(vs)
@@ -684,16 +683,16 @@ def denominator_bound_check(
             continue
         config = SamplingConfig(w=float(w), interval=(a, b))
         vs = LogGrid(math.log(a), math.log(b), grid_points).log_values()
-        ks, chi, mask, _ = _lattice(kernel, config, vs)
-        joins = np.where(mask, chi, -np.inf).max(axis=1)
+        _, chi, mask, _ = _band(kernel, config, vs)
+        joins = _join(chi, mask)
         j = int(np.argmin(joins))
         if joins[j] < min_join:
             min_join, witness = float(joins[j]), float(math.exp(vs[j]))
         # full-window variant on a wider grid
         config_w = SamplingConfig(w=float(w))
         vs2 = LogGrid(-2.0, 2.0, grid_points).log_values()
-        ks, chi, mask, _ = _lattice(kernel, config_w, vs2)
-        joins = np.where(mask, chi, -np.inf).max(axis=1)
+        _, chi, mask, _ = _band(kernel, config_w, vs2)
+        joins = _join(chi, mask)
         j = int(np.argmin(joins))
         if joins[j] < min_join:
             min_join, witness = float(joins[j]), float(math.exp(vs2[j]))

@@ -368,7 +368,7 @@ def _algebraic_join(kernel: Kernel, j: int, vs: np.ndarray, ks: np.ndarray, abso
     return out
 
 
-def _algebraic_window(kernel: Kernel, j: int, scan: ScanPolicy, v_lo: float, v_hi: float):
+def _algebraic_window(kernel: Kernel, scan: ScanPolicy):
     if scan.window_half_width is not None:
         return int(scan.window_half_width)
     if kernel.log_support_radius is not None:
@@ -396,7 +396,7 @@ def algebraic_moment(
     j = int(j)
     v = math.log(u)
     vs = np.array([v])
-    w = _algebraic_window(kernel, j, scan, v, v)
+    w = _algebraic_window(kernel, scan)
     if w is not None:
         ks = np.arange(math.floor(v) - w, math.floor(v) + w + 2)
         return float(_algebraic_join(kernel, j, vs, ks, absolute)[0])
@@ -445,7 +445,7 @@ def algebraic_moment_profile(
     the kernel is from having lattice-invariant algebraic moments.
     """
     vs = _frac_grid(scan.u_points)
-    w = _algebraic_window(kernel, j, scan, 0.0, 1.0)
+    w = _algebraic_window(kernel, scan)
     if w is None:
         w = scan.initial_half_width
         prev = None

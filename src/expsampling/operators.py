@@ -9,6 +9,10 @@ lattice offset w log x - k.  Two domain modes exist:
 * window mode: the index set is a truncation window |k - w log x| <= W around
   the evaluation point, approximating the bi-infinite lattice.
 
+The index set bounds which samples an operator may use; the work per point
+scales with the kernel's support.  Every operator reduces over one lattice
+band per point, masked by the index set: S, I and E by sums, MG by joins.
+
 In window mode the truncated join/sum of a compactly supported kernel is
 exact; for the rest the diagnostics variants report a truncation tail bound.
 
@@ -19,7 +23,7 @@ evaluation is pure, so concurrent use is safe and results are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
@@ -30,7 +34,7 @@ from .errors import (
     DegenerateDenominatorError,
     EvaluationError,
 )
-from .kernels import Kernel, eta_lower_bound, sinc
+from .kernels import Kernel, eta_lower_bound, lin_kernel
 from .spaces import LogGrid, WeightedFunction
 
 __all__ = [
@@ -80,7 +84,7 @@ class SamplingConfig:
             a, b = self.interval
             if not (0.0 < a < b):
                 raise ConfigurationError(f"interval must satisfy 0 < a < b, got {self.interval!r}")
-            if math.ceil(self.w * math.log(a)) > math.floor(self.w * math.log(b)):
+            if not _index_range(self.w, a, b):
                 raise ConfigurationError(
                     f"empty index set for interval {self.interval!r} at w={self.w:g}; "
                     "need w >= 1/(log b - log a)"
@@ -91,14 +95,26 @@ class SamplingConfig:
             raise ConfigurationError("quadrature_points must be a positive integer")
 
 
+def _snap_to_integers(s: np.ndarray) -> np.ndarray:
+    n = np.round(s)
+    return np.where(np.abs(s - n) <= 1e-12 * np.maximum(1.0, np.abs(s)), n, s)
+
+
+@lru_cache(maxsize=256)
+def _index_range(w: float, a: float, b: float) -> range:
+    lo, hi = _snap_to_integers(np.array([w * math.log(a), w * math.log(b)]))
+    return range(math.ceil(lo), math.floor(hi) + 1)
+
+
 def index_set(config: SamplingConfig) -> range:
-    """J_w = {ceil(w log a), ..., floor(w log b)} for interval mode."""
+    """J_w = {ceil(w log a), ..., floor(w log b)} for interval mode.
+
+    w log a and w log b are first snapped to an integer within 1e-12
+    relative, so an endpoint e^{m/w} keeps its lattice node m.
+    """
     if config.interval is None:
         raise ConfigurationError("index_set requires a config with an interval")
-    a, b = config.interval
-    lo = math.ceil(config.w * math.log(a))
-    hi = math.floor(config.w * math.log(b))
-    return range(lo, hi + 1)
+    return _index_range(config.w, *config.interval)
 
 
 def default_half_width(kernel: Kernel, w: float) -> int:
@@ -144,9 +160,8 @@ def take_samples(f: WeightedFunction, config: SamplingConfig, center_log: float 
     else:
         if config.window_half_width is None:
             raise ConfigurationError("window-mode sampling requires window_half_width")
-        c = config.w * center_log
-        h = config.window_half_width
-        ks = np.arange(math.ceil(c - h), math.floor(c + h) + 1)
+        _, lo, hi = _window(None, config, center_log)
+        ks = np.arange(lo, hi + 1)
     vals = np.asarray(f.evaluate_log(ks / config.w), dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():
@@ -156,68 +171,150 @@ def take_samples(f: WeightedFunction, config: SamplingConfig, center_log: float 
 
 
 # --------------------------------------------------------------------------
-# lattice geometry shared by the operators
+# the banded lattice every operator reduces over
 # --------------------------------------------------------------------------
 
 
-def _lattice(kernel: Kernel, config: SamplingConfig, vs: np.ndarray):
-    """Index span, kernel values and active-set mask for evaluation points vs.
+def _band(kernel: Kernel, config: SamplingConfig, vs: np.ndarray):
+    """(first, chi, mask, active): row i holds k = first[i] + j, j < width.
 
-    Returns (ks, chi, mask, half_width): chi[i, j] = chi(e^{w vs[i] - ks[j]}),
-    mask[i, j] marks membership of ks[j] in the active index set at vs[i].
+    The row is floor(w vs[i]) - h ... floor(w vs[i]) + h + 1, h = ceil(R) + 1
+    for a kernel vanishing beyond offset R: it ends in zero-kernel columns, so
+    a join over it sees a zero wherever the whole active set has one.  Other
+    kernels take the window, or all of J_w.  chi[i, j] = chi(e^{w vs[i] - k});
+    mask marks the active set at vs[i]; `active` spans all active sets.
     """
-    w = config.w
+    c = config.w * vs[:, None]
+    r = kernel.log_support_radius
     if config.interval is not None:
-        j = index_set(config)
-        ks = np.arange(j.start, j.stop)
-        mask = np.ones((len(vs), len(ks)), dtype=bool)
-        half = None
+        active, half = index_set(config), None
     else:
-        half = config.window_half_width or default_half_width(kernel, w)
-        lo = math.ceil(w * float(np.min(vs)) - half)
-        hi = math.floor(w * float(np.max(vs)) + half)
-        ks = np.arange(lo, hi + 1)
-        mask = np.abs(ks[None, :] - w * vs[:, None]) <= half
-    t = w * vs[:, None] - ks[None, :]
-    chi = kernel.log_profile(t)
-    return ks, chi, mask, half
+        half = config.window_half_width or default_half_width(kernel, config.w)
+        active = range(math.ceil(float(c.min()) - half), math.floor(float(c.max()) + half) + 1)
+    if r is None and half is None:
+        first, width = np.full(len(vs), active.start), len(active)
+    else:
+        h = math.ceil(half if r is None else r + 1)
+        first, width = np.floor(c[:, 0]).astype(np.int64) - h, 2 * h + 2
+        if half is None:  # a band that would miss J_w moves to touch its nearest end
+            first = np.minimum(np.maximum(first, active.start - width + 1), active.stop - 1)
+    cols = np.arange(width)
+    t = c - (first[:, None] + cols)
+    if half is None:
+        mask = (cols >= active.start - first[:, None]) & (cols < active.stop - first[:, None])
+    else:
+        mask = np.abs(t) <= half
+    return first, kernel.log_profile(t), mask, active
 
 
-def _lookup(samples: ExpSamples, ks: np.ndarray, chi: np.ndarray, mask: np.ndarray):
-    """Sample values over ks; lattice indices with vanishing kernel may be absent."""
-    idx = ks - samples.k_min
-    vals = samples.value_array
-    inside = (idx >= 0) & (idx < len(vals))
-    fv = np.where(inside, vals[np.clip(idx, 0, len(vals) - 1)], 0.0)
-    missing = mask & ~inside[None, :] & (chi != 0.0)
-    if missing.any():
-        k = int(ks[np.nonzero(missing)[1][0]])
-        raise EvaluationError(
-            f"samples do not cover required lattice index k={k}", where=k
-        )
-    return fv
+def _series(operator: str, kernel: Kernel, config: SamplingConfig, vs: np.ndarray, values_of):
+    """(values, den, unseen, first) of one operator over the band at vs.
+
+    values_of(k0, k1) gives the samples (cell means for "I") at k0 <= k < k1,
+    the active span; entries outside it are never active and read 0.
+    `unseen` marks active non-finite samples under a nonzero kernel value (any
+    value for "E": sinc zeros do not mask them); they reduce as 0.  MG returns
+    its numerator and denominator joins.
+    """
+    first, chi, mask, active = _band(kernel, config, vs)
+    lo, hi, width = int(first.min()), int(first.max()), chi.shape[1]
+    span = np.zeros(hi - lo + width)
+    k0, k1 = max(lo, active.start), min(hi + width, active.stop)
+    span[k0 - lo : k1 - lo] = values_of(k0, k1)
+    fv = span[(first - lo)[:, None] + np.arange(width)] if hi > lo else span[None, :]
+    bad = ~np.isfinite(fv)
+    unseen = mask & bad & ((chi != 0.0) | (operator == "E")) if bad.any() else np.zeros_like(mask)
+    fv[bad] = 0.0
+    if operator == "MG":
+        return _join(chi * fv, mask), _join(chi, mask), unseen, first
+    return np.where(mask, chi * fv, 0.0).sum(axis=1), None, unseen, first
+
+
+def _join(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-wise max of vals over the active set."""
+    return np.where(mask, vals, -np.inf).max(axis=1)
 
 
 def _as_log_values(grid: Union[LogGrid, Sequence[float]]) -> np.ndarray:
     if isinstance(grid, LogGrid):
         return grid.log_values()
     xs = np.asarray(grid, dtype=float)
-    if np.any(xs <= 0.0):
+    if not np.all(xs > 0.0):
         raise ValueError("evaluation points must be positive")
     return np.log(xs)
 
 
+@lru_cache(maxsize=32)
+def _gauss_rule(points: int):
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    return nodes, weights
+
+
+def _cell_means(f: WeightedFunction, ks: np.ndarray, w: float, points: int, strict: bool = True):
+    """w * integral of f(e^u) over [k/w, (k+1)/w] per k, by Gauss-Legendre.
+
+    A cell where f is not finite raises, or gets a non-finite mean if not `strict`.
+    """
+    nodes, weights = _gauss_rule(points)
+    us = (ks[:, None] + (nodes[None, :] + 1.0) / 2.0) / w
+    fvals = np.asarray(f.evaluate_log(us), dtype=float)
+    if strict and not np.all(np.isfinite(fvals)):
+        k = int(ks[np.nonzero(~np.isfinite(fvals).all(axis=1))[0][0]])
+        raise EvaluationError(f"quadrature non-finite on cell k={k}", where=k)
+    with np.errstate(invalid="ignore"):
+        return fvals @ weights / 2.0
+
+
+@lru_cache(maxsize=32)
+def _classical_kernel(damping: float) -> Kernel:
+    """lin_kernel(damping) on offsets snapped to nearby integers, where sinc is exactly 0."""
+    lin = lin_kernel(damping)
+    return replace(lin, log_profile=lambda t: lin.log_profile(_snap_to_integers(t)))
+
+
+def _window(kernel: Optional[Kernel], config: SamplingConfig, v: float):
+    """(half-width, first index, last index) of the truncation window at log-point v."""
+    half = config.window_half_width or default_half_width(kernel, config.w)
+    c = config.w * v
+    return half, math.ceil(c - half), math.floor(c + half)
+
+
 # --------------------------------------------------------------------------
-# max-product series
+# the operators from given samples and at single points
 # --------------------------------------------------------------------------
 
 
-def _max_product_joins(kernel, samples, vs, config):
-    ks, chi, mask, half = _lattice(kernel, config, vs)
-    fv = _lookup(samples, ks, chi, mask)
-    num = np.where(mask, chi * fv[None, :], -np.inf).max(axis=1)
-    den = np.where(mask, chi, -np.inf).max(axis=1)
-    return num, den, ks, chi, mask, half
+def _from_samples(operator: str, kernel: Kernel, samples: ExpSamples, vs: np.ndarray, config: SamplingConfig):
+    """(values, den) of "S" or "MG" from samples at log-points vs.
+
+    Raises on an active index with nonzero kernel value and no sample, and,
+    for MG, on the first degenerate denominator.
+    """
+    vals, k_min = samples.value_array, samples.k_min
+
+    def lookup(k0, k1):  # NaN where no sample is given
+        out = np.full(k1 - k0, np.nan)
+        a = max(k0, k_min)
+        b = max(a, min(k1, k_min + len(vals)))
+        out[a - k0 : b - k0] = vals[a - k_min : b - k_min]
+        return out
+
+    values, den, unseen, first = _series(operator, kernel, config, vs, lookup)
+    if unseen.any():
+        i, j = np.argwhere(unseen)[0]
+        k = int(first[i] + j)
+        raise EvaluationError(f"samples do not cover required lattice index k={k}", where=k)
+    if den is not None and not np.all(den > _DENOMINATOR_FLOOR):
+        i = int(np.argmin(den > _DENOMINATOR_FLOOR))
+        x = float(math.exp(vs[i]))
+        _, lo, hi = _window(kernel, config, float(vs[i]))
+        raise DegenerateDenominatorError(
+            f"max-product denominator {den[i]:.3g} at x={x:.6g}",
+            x=x,
+            w=config.w,
+            index_set=list(index_set(config) if config.interval is not None else range(lo, hi + 1)),
+        )
+    return values, den
 
 
 def max_product_series_on_grid(
@@ -227,17 +324,7 @@ def max_product_series_on_grid(
     config: SamplingConfig,
 ) -> np.ndarray:
     """Max-product values over a whole grid; raises on the first degenerate point."""
-    vs = _as_log_values(grid)
-    num, den, ks, _, mask, _ = _max_product_joins(kernel, samples, vs, config)
-    bad = ~(den > _DENOMINATOR_FLOOR)
-    if bad.any():
-        i = int(np.nonzero(bad)[0][0])
-        raise DegenerateDenominatorError(
-            f"max-product denominator {den[i]:.3g} at x={math.exp(vs[i]):.6g}",
-            x=float(math.exp(vs[i])),
-            w=config.w,
-            index_set=[int(k) for k in ks[mask[i]]],
-        )
+    num, den = _from_samples("MG", kernel, samples, _as_log_values(grid), config)
     return num / den
 
 
@@ -250,217 +337,27 @@ def max_product_series(
     the denominator must stay positive (guaranteed at the eta lower bound for
     kernels whose infimum over [1, e] is positive).
     """
-    if not x > 0.0:
-        raise ValueError("x must be positive")
     return float(max_product_series_on_grid(kernel, samples, [x], config)[0])
-
-
-@dataclass(frozen=True)
-class OperatorDiagnostics:
-    """Truncation bookkeeping for one operator evaluation."""
-
-    mode: str
-    half_width: Optional[int]
-    index_min: int
-    index_max: int
-    tail_bound: float
-    note: str = ""
-
-
-def _ring(kernel: Kernel, config: SamplingConfig, v: float, half: int):
-    """Lattice offsets in the ring (half, 2*half] on both sides of w v."""
-    w = config.w
-    c = w * v
-    right = np.arange(math.floor(c + half) + 1, math.floor(c + 2 * half) + 1)
-    left = np.arange(math.ceil(c - 2 * half), math.ceil(c - half))
-    ks = np.concatenate([left, right])
-    chi = kernel.log_profile(w * v - ks)
-    return ks, chi
-
-
-def _tail_caps(ks: np.ndarray, w: float, f_bound: Optional[float], fallback: float) -> np.ndarray:
-    if f_bound is None:
-        return np.full(len(ks), fallback)
-    return f_bound * (1.0 + np.square(ks / w))
-
-
-def max_product_series_with_diagnostics(
-    kernel: Kernel,
-    samples: ExpSamples,
-    x: float,
-    config: SamplingConfig,
-    f_bound: Optional[float] = None,
-) -> tuple[float, OperatorDiagnostics]:
-    """Max-product value plus a truncation tail bound for window mode.
-
-    `f_bound` is a weighted-boundedness certificate M for the sampled
-    function; without it the bound falls back to the largest sampled |f|.
-    """
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    vs = np.array([math.log(x)])
-    num, den, ks, chi, mask, half = _max_product_joins(kernel, samples, vs, config)
-    if not den[0] > _DENOMINATOR_FLOOR:
-        raise DegenerateDenominatorError(
-            f"max-product denominator {den[0]:.3g} at x={x:.6g}",
-            x=x,
-            w=config.w,
-            index_set=[int(k) for k in ks[mask[0]]],
-        )
-    value = float(num[0] / den[0])
-    if config.interval is not None:
-        diag = OperatorDiagnostics("interval", None, int(ks[0]), int(ks[-1]), 0.0)
-        return value, diag
-    rks, rchi = _ring(kernel, config, math.log(x), half)
-    caps = _tail_caps(rks, config.w, f_bound, float(np.max(np.abs(samples.value_array))))
-    ring_num = float(np.max(np.abs(rchi) * caps, initial=0.0))
-    ring_den = float(np.max(np.abs(rchi), initial=0.0))
-    tail = (ring_num + abs(value) * ring_den) / float(den[0])
-    note = ""
-    if eta_lower_bound(kernel) <= 0.0:
-        note = "kernel infimum over [1,e] is not positive; convergence guarantees do not apply"
-    return value, OperatorDiagnostics("window", half, int(ks[0]), int(ks[-1]), tail, note)
-
-
-# --------------------------------------------------------------------------
-# generalized series
-# --------------------------------------------------------------------------
-
-
-def _generalized_values(kernel, samples, vs, config):
-    ks, chi, mask, half = _lattice(kernel, config, vs)
-    fv = _lookup(samples, ks, chi, mask)
-    out = np.where(mask, chi * fv[None, :], 0.0).sum(axis=1)
-    return out, ks, half
 
 
 def generalized_series(
     kernel: Kernel, samples: ExpSamples, x: float, config: SamplingConfig
 ) -> float:
     """Truncated sum over k of chi(e^{-k} x^w) f(e^{k/w})."""
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    out, _, _ = _generalized_values(kernel, samples, np.array([math.log(x)]), config)
-    if not math.isfinite(out[0]):
+    value = float(_from_samples("S", kernel, samples, _as_log_values([x]), config)[0][0])
+    if not math.isfinite(value):
         raise EvaluationError(f"non-finite partial sum at x={x:.6g}", where=x)
-    return float(out[0])
-
-
-def generalized_series_with_diagnostics(
-    kernel: Kernel,
-    samples: ExpSamples,
-    x: float,
-    config: SamplingConfig,
-    f_bound: Optional[float] = None,
-) -> tuple[float, OperatorDiagnostics]:
-    """Truncated sum plus a tail bound from the kernel decay beyond the window."""
-    value = generalized_series(kernel, samples, x, config)
-    if config.interval is not None:
-        j = index_set(config)
-        return value, OperatorDiagnostics("interval", None, j.start, j.stop - 1, 0.0)
-    half = config.window_half_width or default_half_width(kernel, config.w)
-    rks, rchi = _ring(kernel, config, math.log(x), half)
-    caps = _tail_caps(rks, config.w, f_bound, float(np.max(np.abs(samples.value_array))))
-    tail = float(np.sum(np.abs(rchi) * caps))
-    c = config.w * math.log(x)
-    return value, OperatorDiagnostics(
-        "window", half, math.ceil(c - half), math.floor(c + half), tail
-    )
-
-
-# --------------------------------------------------------------------------
-# Kantorovich series
-# --------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _gauss_rule(points: int):
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    return nodes, weights
-
-
-def _cell_means(f: WeightedFunction, ks: np.ndarray, w: float, points: int) -> np.ndarray:
-    """w * integral of f(e^u) over [k/w, (k+1)/w] per k, by Gauss-Legendre."""
-    nodes, weights = _gauss_rule(points)
-    us = (ks[:, None] + (nodes[None, :] + 1.0) / 2.0) / w
-    fvals = np.asarray(f.evaluate_log(us), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        k = int(ks[np.nonzero(~np.isfinite(fvals).all(axis=1))[0][0]])
-        raise EvaluationError(f"quadrature non-finite on cell k={k}", where=k)
-    return fvals @ weights / 2.0
+    return value
 
 
 def kantorovich_series(
     kernel: Kernel, f: WeightedFunction, x: float, config: SamplingConfig
 ) -> float:
     """Sampling series with point samples replaced by lattice-cell means of f(e^u)."""
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    vs = np.array([math.log(x)])
-    ks, chi, mask, _ = _lattice(kernel, config, vs)
-    means = _cell_means(f, ks, config.w, config.quadrature_points)
-    out = float(np.where(mask, chi * means[None, :], 0.0).sum(axis=1)[0])
-    if not math.isfinite(out):
+    value = float(_grid_values("I", f, kernel, config, _as_log_values([x]))[0][0])
+    if not math.isfinite(value):
         raise EvaluationError(f"non-finite Kantorovich sum at x={x:.6g}", where=x)
-    return out
-
-
-def kantorovich_series_with_diagnostics(
-    kernel: Kernel,
-    f: WeightedFunction,
-    x: float,
-    config: SamplingConfig,
-    f_bound: Optional[float] = None,
-) -> tuple[float, OperatorDiagnostics]:
-    """Kantorovich value plus a window-mode truncation tail bound.
-
-    Cell means of a weighted-bounded f are capped by M * max of the
-    reciprocal weight over the cell; without a certificate the cap falls back
-    to the largest in-window cell mean.
-    """
-    value = kantorovich_series(kernel, f, x, config)
-    if config.interval is not None:
-        j = index_set(config)
-        return value, OperatorDiagnostics("interval", None, j.start, j.stop - 1, 0.0)
-    half = config.window_half_width or default_half_width(kernel, config.w)
-    rks, rchi = _ring(kernel, config, math.log(x), half)
-    w = config.w
-    if f_bound is None:
-        c = w * math.log(x)
-        inner = np.arange(math.ceil(c - half), math.floor(c + half) + 1)
-        fallback = float(np.max(np.abs(_cell_means(f, inner, w, config.quadrature_points))))
-        caps = np.full(len(rks), fallback)
-    else:
-        edge = np.maximum(np.abs(rks), np.abs(rks + 1)) / w
-        caps = f_bound * (1.0 + edge * edge)
-    tail = float(np.sum(np.abs(rchi) * caps))
-    c = w * math.log(x)
-    return value, OperatorDiagnostics(
-        "window", half, math.ceil(c - half), math.floor(c + half), tail
-    )
-
-
-# --------------------------------------------------------------------------
-# classical exponential sampling formula
-# --------------------------------------------------------------------------
-
-
-def _snap_to_integers(s: np.ndarray) -> np.ndarray:
-    n = np.round(s)
-    return np.where(np.abs(s - n) <= 1e-12 * np.maximum(1.0, np.abs(s)), n, s)
-
-
-def _classical_values(f, c, T, vs, window):
-    ks_lo = math.ceil(T * float(np.min(vs)) - window)
-    ks_hi = math.floor(T * float(np.max(vs)) + window)
-    ks = np.arange(ks_lo, ks_hi + 1)
-    s = _snap_to_integers(T * vs[:, None] - ks[None, :])
-    sc = sinc(s)
-    damp = np.exp(-(c / T) * np.where(sc == 0.0, 0.0, s))
-    lin = damp * sc
-    mask = np.abs(ks[None, :] - T * vs[:, None]) <= window
-    fv = np.asarray(f.evaluate_log(ks / T), dtype=float)
-    return np.where(mask, lin * fv[None, :], 0.0).sum(axis=1)
+    return value
 
 
 def classical_exponential_formula(
@@ -477,12 +374,111 @@ def classical_exponential_formula(
         raise ValueError("T must be positive")
     if window < 1:
         raise ValueError("window must be a positive integer")
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    out = _classical_values(f, c, T, np.array([math.log(x)]), window)
-    if not math.isfinite(out[0]):
+    config = SamplingConfig(w=T, window_half_width=window)
+    value = float(_grid_values("E", f, None, config, _as_log_values([x]), c)[0][0])
+    if not math.isfinite(value):
         raise EvaluationError(f"non-finite term in classical series at x={x:.6g}", where=x)
-    return float(out[0])
+    return value
+
+
+# --------------------------------------------------------------------------
+# truncation diagnostics
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OperatorDiagnostics:
+    """Truncation bookkeeping for one operator evaluation."""
+
+    mode: str
+    half_width: Optional[int]
+    index_min: int
+    index_max: int
+    tail_bound: float
+    note: str = ""
+
+
+def _with_diagnostics(kernel, config, x, value, f_bound, fallback, den=None, cells=False):
+    """`value` at x with the tail the ring (half, 2 half] beyond the window adds.
+
+    |f| on the ring is capped by f_bound times the reciprocal weight (over the
+    whole cell when `cells`), else by fallback(window indices).  Sums add
+    |chi| caps over the ring; the max-product ratio with denominator join
+    `den` moves by at most the ring's joins over den.
+    """
+    if config.interval is not None:
+        j = index_set(config)
+        return value, OperatorDiagnostics("interval", None, j.start, j.stop - 1, 0.0)
+    half, lo, hi = _window(kernel, config, math.log(x))
+    c = config.w * math.log(x)
+    ring = np.concatenate(
+        [np.arange(math.ceil(c - 2 * half), lo), np.arange(hi + 1, math.floor(c + 2 * half) + 1)]
+    )
+    rchi = np.abs(kernel.log_profile(c - ring))
+    if f_bound is None:
+        caps = np.full(len(ring), fallback(np.arange(lo, hi + 1)))
+    else:
+        edge = (np.maximum(np.abs(ring), np.abs(ring + 1)) if cells else ring) / config.w
+        caps = f_bound * (1.0 + edge * edge)
+    note = ""
+    if den is None:
+        tail = float(np.sum(rchi * caps))
+    else:
+        tail = (float(np.max(rchi * caps, initial=0.0)) + abs(value) * float(np.max(rchi, initial=0.0))) / den
+        if eta_lower_bound(kernel) <= 0.0:
+            note = "kernel infimum over [1,e] is not positive; convergence guarantees do not apply"
+    return value, OperatorDiagnostics("window", half, lo, hi, tail, note)
+
+
+def max_product_series_with_diagnostics(
+    kernel: Kernel,
+    samples: ExpSamples,
+    x: float,
+    config: SamplingConfig,
+    f_bound: Optional[float] = None,
+) -> tuple[float, OperatorDiagnostics]:
+    """Max-product value plus a truncation tail bound for window mode.
+
+    `f_bound` is a weighted-boundedness certificate M for the sampled
+    function; without it the bound falls back to the largest sampled |f|.
+    """
+    num, den = _from_samples("MG", kernel, samples, _as_log_values([x]), config)
+    value, largest = float(num[0] / den[0]), float(np.max(np.abs(samples.value_array)))
+    return _with_diagnostics(kernel, config, x, value, f_bound, lambda _: largest, float(den[0]))
+
+
+def generalized_series_with_diagnostics(
+    kernel: Kernel,
+    samples: ExpSamples,
+    x: float,
+    config: SamplingConfig,
+    f_bound: Optional[float] = None,
+) -> tuple[float, OperatorDiagnostics]:
+    """Truncated sum plus a tail bound from the kernel decay beyond the window."""
+    value = generalized_series(kernel, samples, x, config)
+    largest = float(np.max(np.abs(samples.value_array)))
+    return _with_diagnostics(kernel, config, x, value, f_bound, lambda _: largest)
+
+
+def kantorovich_series_with_diagnostics(
+    kernel: Kernel,
+    f: WeightedFunction,
+    x: float,
+    config: SamplingConfig,
+    f_bound: Optional[float] = None,
+) -> tuple[float, OperatorDiagnostics]:
+    """Kantorovich value plus a window-mode truncation tail bound.
+
+    Cell means of a weighted-bounded f are capped by M * max of the
+    reciprocal weight over the cell; without a certificate the cap falls back
+    to the largest in-window cell mean.
+    """
+    value = kantorovich_series(kernel, f, x, config)
+
+    def largest_mean(window):
+        return float(np.max(np.abs(_cell_means(f, window, config.w, config.quadrature_points))))
+
+    return _with_diagnostics(kernel, config, x, value, f_bound, largest_mean, cells=True)
 
 
 def classical_exponential_formula_with_diagnostics(
@@ -495,15 +491,9 @@ def classical_exponential_formula_with_diagnostics(
     """
     value = classical_exponential_formula(f, c, T, x, window)
     wide = classical_exponential_formula(f, c, T, x, 2 * window)
-    c0 = T * math.log(x)
-    return value, OperatorDiagnostics(
-        "window",
-        window,
-        math.ceil(c0 - window),
-        math.floor(c0 + window),
-        abs(wide - value),
-        "doubling residual; conditional convergence",
-    )
+    _, lo, hi = _window(None, SamplingConfig(w=T, window_half_width=window), math.log(x))
+    note = "doubling residual; conditional convergence"
+    return value, OperatorDiagnostics("window", window, lo, hi, abs(wide - value), note)
 
 
 # --------------------------------------------------------------------------
@@ -511,6 +501,10 @@ def classical_exponential_formula_with_diagnostics(
 # --------------------------------------------------------------------------
 
 OPERATOR_TAGS = ("S", "I", "MG", "E")
+_NONFINITE_NOTES = {
+    "I": "non-finite quadrature cell in active window",
+    "E": "non-finite term in classical series window",
+}
 
 
 @dataclass(frozen=True)
@@ -523,6 +517,37 @@ class GridPoint:
     error_vs_f: float
     weighted_error: float
     note: str = ""
+
+
+def _grid_values(operator: str, f: WeightedFunction, kernel, config: SamplingConfig, vs: np.ndarray, c=0.0):
+    """Values and row notes of one operator applied to f at log-points vs.
+
+    Rows with unseen non-finite samples, and non-finite "I" and "E" rows, are
+    NaN with a note.  "E" takes the damped sinc kernel at rate T = config.w.
+    """
+    if operator == "E":
+        kernel = _classical_kernel(c / config.w)
+        config = config if config.interval is None else replace(config, interval=None)
+    w, points = config.w, config.quadrature_points
+
+    def values_of(k0, k1):
+        k = np.arange(k0, k1)
+        return _cell_means(f, k, w, points, strict=False) if operator == "I" else f.evaluate_log(k / w)
+
+    values, den, unseen, _ = _series(operator, kernel, config, vs, values_of)
+    notes = [""] * len(vs)
+    if den is not None:
+        ok = den > _DENOMINATOR_FLOOR
+        values = np.where(ok, values / np.where(ok, den, 1.0), np.nan)
+        for i in np.nonzero(~ok)[0]:
+            notes[i] = f"degenerate denominator {den[i]:.3g}"
+    failed = unseen.any(axis=1)
+    if operator in ("I", "E"):
+        failed |= ~np.isfinite(values)
+    values[failed] = np.nan
+    for i in np.nonzero(failed)[0]:
+        notes[i] = _NONFINITE_NOTES.get(operator, "non-finite sample in active window")
+    return values, notes
 
 
 def evaluate_on_grid(
@@ -542,48 +567,7 @@ def evaluate_on_grid(
     if operator not in OPERATOR_TAGS:
         raise ValueError(f"unknown operator tag {operator!r}; expected one of {OPERATOR_TAGS}")
     vs = _as_log_values(grid)
-    w = config.w
-    notes = [""] * len(vs)
-    values = np.full(len(vs), np.nan)
-
-    if operator == "E":
-        half = config.window_half_width or _NONCOMPACT_HALF_WIDTH
-        values = _classical_values(f, c, w, vs, half)
-        for i in np.nonzero(~np.isfinite(values))[0]:
-            values[int(i)] = np.nan
-            notes[int(i)] = "non-finite term in classical series window"
-    elif operator == "I":
-        ks, chi, mask, _ = _lattice(kernel, config, vs)
-        nodes, weights = _gauss_rule(config.quadrature_points)
-        us = (ks[:, None] + (nodes[None, :] + 1.0) / 2.0) / w
-        fvals = np.asarray(f.evaluate_log(us), dtype=float)
-        with np.errstate(invalid="ignore"):
-            means = fvals @ weights / 2.0  # non-finite cells poison only their rows
-            values = np.where(mask & (chi != 0.0), chi * means[None, :], 0.0).sum(axis=1)
-        for i in np.nonzero(~np.isfinite(values))[0]:
-            values[int(i)] = np.nan
-            notes[int(i)] = "non-finite quadrature cell in active window"
-    else:
-        ks, chi, mask, _ = _lattice(kernel, config, vs)
-        fv = np.asarray(f.evaluate_log(ks / w), dtype=float)
-        bad_samples = ~np.isfinite(fv)
-        if bad_samples.any():
-            fv = np.where(bad_samples, 0.0, fv)
-        if operator == "S":
-            values = np.where(mask, chi * fv[None, :], 0.0).sum(axis=1)
-        else:
-            num = np.where(mask, chi * fv[None, :], -np.inf).max(axis=1)
-            den = np.where(mask, chi, -np.inf).max(axis=1)
-            ok = den > _DENOMINATOR_FLOOR
-            values = np.where(ok, num / np.where(ok, den, 1.0), np.nan)
-            for i in np.nonzero(~ok)[0]:
-                notes[int(i)] = f"degenerate denominator {den[int(i)]:.3g}"
-        if bad_samples.any():
-            affected = (mask & (chi != 0.0) & bad_samples[None, :]).any(axis=1)
-            for i in np.nonzero(affected)[0]:
-                values[int(i)] = np.nan
-                notes[int(i)] = "non-finite sample in active window"
-
+    values, notes = _grid_values(operator, f, kernel, config, vs, c)
     fx = np.asarray(f.evaluate_log(vs), dtype=float)
     rows = []
     for i, v in enumerate(vs):

@@ -61,6 +61,10 @@ class TestSamplingConfig:
         assert list(index_set(SamplingConfig(w=3.0, interval=(1.0, math.e)))) == [0, 1, 2, 3]
         assert list(index_set(SamplingConfig(w=1.0, interval=(1.0, math.e)))) == [0, 1]
         assert list(index_set(SamplingConfig(w=2.0, interval=(math.e, math.e**2)))) == [2, 3, 4]
+        # endpoints e^{m/w} keep their lattice node m although w log e^{m/w} != m
+        for w, m in ((5.0, -2), (10.0, 1)):
+            cfg = SamplingConfig(w=w, interval=(math.exp(m / w), math.exp((m + w) / w)))
+            assert index_set(cfg) == range(m, m + int(w) + 1)
 
     def test_index_set_requires_interval(self):
         with pytest.raises(ConfigurationError):
