@@ -36,13 +36,12 @@ from .kernels import (
     eta_lower_bound,
 )
 from .operators import (
-    ExpSamples,
     SamplingConfig,
     evaluate_on_grid,
-    index_set,
-    max_product_series_on_grid,
+    _as_log_values,
     _band,
     _join,
+    _require_denominator,
 )
 from .spaces import (
     LogGrid,
@@ -366,7 +365,7 @@ def verify_quantitative_rate(
     _require(report.chi2_holds, f"kernel '{kernel.name}' has nonpositive infimum over [1,e]")
     _require(f.nonnegative, f"'{f.name}' is not registered nonnegative")
     m0 = report.absolute_moments[0.0]
-    m5 = discrete_absolute_moment(kernel, 5.0, scan)
+    m5 = report.absolute_moments[5.0]
     eta = report.eta
 
     checks = []
@@ -463,7 +462,7 @@ def voronovskaja_check(
     theta_r = mellin_derivative_function(f, r)
     theta_fns = [f] + [mellin_derivative_function(f, t) for t in range(1, r + 1)]
     m_r = discrete_absolute_moment(kernel, float(r), scan)
-    m_r5 = discrete_absolute_moment(kernel, float(r + 5), scan)
+    m_r5 = report.absolute_moments[float(r + 5)]
     factorial_r = math.factorial(r)
 
     vs = x_grid.log_values()
@@ -652,7 +651,6 @@ def denominator_bound_check(
     interval: tuple[float, float] = (1.0, math.e),
     w_list: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
     grid_points: int = 257,
-    scan: ScanPolicy = ScanPolicy(),
     eta_min: float = 0.0,
 ) -> BoundCheck:
     """The denominator join must stay above the kernel infimum over [1, e].
@@ -713,7 +711,7 @@ def lemma_suite(kernel: Kernel, tol: Tolerances = Tolerances(), scan: ScanPolicy
     for nu in (1.0, 2.0):
         for delta in (0.25, 0.5):
             checks.append(tail_decay_check(kernel, nu, delta, 8.0, scan))
-    checks.append(denominator_bound_check(kernel, scan=scan, eta_min=tol.eta_min))
+    checks.append(denominator_bound_check(kernel, eta_min=tol.eta_min))
     return checks
 
 
@@ -738,18 +736,21 @@ def max_product_lattice_checks(
     """
     if config.interval is None:
         raise HypothesisNotMetError("lattice checks run in interval mode")
-    j = index_set(config)
-    ks = list(j)
+    vs = _as_log_values(grid)
+    first, chi, mask, active = _band(kernel, config, vs)
+    den = _join(chi, mask)
+    _require_denominator(kernel, config, vs, den)
+    # column -> position in J_w; inactive columns read any sample and are masked
+    cols = np.clip(first[:, None] + np.arange(chi.shape[1]) - active.start, 0, len(active) - 1)
     rng = np.random.default_rng(seed)
     worst = {"monotone": -math.inf, "subadd": -math.inf, "absdiff": -math.inf, "homog": -math.inf}
 
     def mg(vec):
-        samples = ExpSamples(config.w, dict(zip(ks, vec.tolist())))
-        return max_product_series_on_grid(kernel, samples, grid, config)
+        return _join(chi * vec[cols], mask) / den
 
     for _ in range(n_vectors):
-        fvec = rng.uniform(0.0, 1.0, len(ks))
-        gvec = rng.uniform(0.0, 1.0, len(ks))
+        fvec = rng.uniform(0.0, 1.0, len(active))
+        gvec = rng.uniform(0.0, 1.0, len(active))
         lam = float(rng.uniform(0.1, 10.0))
         mg_f = mg(fvec)
         mg_g = mg(gvec)

@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 _CHUNK = 256  # max lattice rows materialised per scan block
+# window widening of the moment scans for kernels without compact support
+_FIRST_HALF_WIDTH = 8
+_MAX_HALF_WIDTH = 2048
+_SETTLE_TOL = 1e-12
+_DIVERGENCE_GROWTH = 1.5
+_DIVERGENCE_STREAK = 3
 
 
 def sinc(t):
@@ -93,21 +99,11 @@ class Kernel:
 class ScanPolicy:
     """Controls the lattice scans behind the moment estimators.
 
-    `u_points` is the resolution of the fractional-part grid for log u.
-    `window_half_width` pins the k-window; when None, compact kernels get
-    ceil(R) + 1 and non-compact kernels double from `initial_half_width`
-    until the estimate settles below `convergence_tol` or the divergence
-    heuristic fires (growth by `divergence_factor` on `divergence_streak`
-    consecutive doublings).
+    Only `u_points` remains: the resolution of the fractional-part grid for
+    log u.  The k-window follows one rule for every scan (see `_scan`).
     """
 
     u_points: int = 4096
-    window_half_width: Optional[int] = None
-    initial_half_width: int = 8
-    max_half_width: int = 2048
-    convergence_tol: float = 1e-12
-    divergence_factor: float = 1.5
-    divergence_streak: int = 3
 
 
 @dataclass(frozen=True)
@@ -259,31 +255,65 @@ def _frac_grid(n: int) -> np.ndarray:
     return np.arange(n, dtype=float) / n
 
 
-def _block_max(kernel: Kernel, nu: float, vs: np.ndarray, ks: np.ndarray):
-    """Max of |chi(e^{v-k})| |k - v|^nu over ks x vs, with the arg-maximising pair."""
-    best = -np.inf
-    best_v = vs[0]
-    best_k = int(ks[0]) if len(ks) else 0
-    for lo in range(0, len(ks), _CHUNK):
-        kb = ks[lo : lo + _CHUNK]
-        t = vs[None, :] - kb[:, None]
-        vals = np.abs(kernel.log_profile(t)) * np.abs(t) ** nu
-        i = int(np.argmax(vals))
-        m = float(vals.flat[i])
-        if m > best:
-            best = m
-            r, cidx = divmod(i, vals.shape[1])
-            best_v = float(vs[cidx])
-            best_k = int(kb[r])
-    return best, best_v, best_k
-
-
 def _tail_probe(kernel: Kernel, nu: float, start: float, span: float = 16.0, points: int = 4096) -> float:
     """Estimate sup over |t| >= start of |chi(e^t)| |t|^nu by a dense boundary scan."""
     ts = np.linspace(start, start + span, points)
     vals = np.abs(kernel.log_profile(ts)) * ts**nu
     vals_neg = np.abs(kernel.log_profile(-ts)) * ts**nu
     return float(max(vals.max(), vals_neg.max()))
+
+
+def _join_k(kernel: Kernel, term, v: float, k0: int, h: int) -> int:
+    """The first k in k0 - h ... k0 + h whose term attains the join at v."""
+    ks = k0 + np.arange(-h, h + 1)
+    t = v - ks
+    return int(ks[np.argmax(term(kernel.log_profile(t), t))])
+
+
+def _scan(kernel: Kernel, term, vs: np.ndarray, k0: int, what: str, order: float):
+    """Join term(chi(e^t), t), t = v - k, over k = k0 - h ... k0 + h at each v in vs.
+
+    Returns (joins, h, settled).  A kernel vanishing beyond offset R takes h = ceil(R) + 1.  Otherwise the
+    window widens by rings from h = 8 to 2048: the joins have settled when
+    none moves by more than 1e-12 max(1, peak), and they diverge when one is
+    not finite or the peak |join| grows by 1.5x on three doublings in a row.
+    Divergence raises DivergentMomentError, witnessed at the peak point.
+    Zero joins read +0.
+    """
+
+    def join(ks):
+        out = np.full(vs.shape, -np.inf)
+        for lo in range(0, len(ks), _CHUNK):
+            t = vs - ks[lo : lo + _CHUNK, None]
+            out = np.maximum(out, term(kernel.log_profile(t), t).max(axis=0))
+        return out + 0.0
+
+    if kernel.log_support_radius is not None:
+        h = math.ceil(kernel.log_support_radius) + 1
+        return join(k0 + np.arange(-h, h + 1)), h, True
+    h, streak, prev_peak, moved = _FIRST_HALF_WIDTH, 0, math.inf, math.inf
+    joins = join(k0 + np.arange(-h, h + 1))
+    while True:
+        peak = float(np.max(np.abs(joins)))
+        growth = peak / prev_peak if prev_peak > 0.0 else 1.0
+        streak = streak + 1 if growth >= _DIVERGENCE_GROWTH else 0
+        if streak >= _DIVERGENCE_STREAK or not np.all(np.isfinite(joins)):
+            i = int(np.argmax(np.abs(joins)))
+            raise DivergentMomentError(
+                f"{what} for kernel '{kernel.name}' diverges "
+                f"(peak join {peak:.6g} at half-width {h})",
+                witness_u=math.exp(float(vs[i])),
+                witness_k=_join_k(kernel, term, vs[i], k0, h),
+                order=order,
+            )
+        if moved <= _SETTLE_TOL * max(1.0, peak):
+            return joins, h, True
+        if h >= _MAX_HALF_WIDTH:
+            return joins, h, False
+        ring = np.concatenate([np.arange(-2 * h, -h), np.arange(h + 1, 2 * h + 1)])
+        widened = np.maximum(joins, join(k0 + ring))
+        moved = float(np.max(np.abs(widened - joins)))
+        prev_peak, joins, h = peak, widened, 2 * h
 
 
 def discrete_absolute_moment_estimate(
@@ -302,52 +332,16 @@ def discrete_absolute_moment_estimate(
     """
     if nu < 0.0:
         raise ValueError("moment order must be nonnegative")
+
+    def term(chi, t):
+        return np.abs(chi) * np.abs(t) ** nu
+
     vs = _frac_grid(scan.u_points)
-
-    if scan.window_half_width is not None:
-        w = int(scan.window_half_width)
-    elif kernel.log_support_radius is not None:
-        w = int(math.ceil(kernel.log_support_radius)) + 1
-    else:
-        w = None
-
-    if w is not None:
-        ks = np.arange(-w, w + 1)
-        value, v_star, k_star = _block_max(kernel, nu, vs, ks)
-        compact = (
-            kernel.log_support_radius is not None and w >= kernel.log_support_radius
-        )
-        tail = 0.0 if compact else _tail_probe(kernel, nu, float(w))
-        return MomentEstimate(nu, value, math.exp(v_star), k_star, w, tail)
-
-    # non-compact kernel: double the window until the estimate settles
-    w = scan.initial_half_width
-    ks = np.arange(-w, w + 1)
-    value, v_star, k_star = _block_max(kernel, nu, vs, ks)
-    streak = 0
-    while w < scan.max_half_width:
-        new_w = 2 * w
-        ring = np.concatenate([np.arange(-new_w, -w), np.arange(w + 1, new_w + 1)])
-        ring_max, rv, rk = _block_max(kernel, nu, vs, ring)
-        new_value = max(value, ring_max)
-        if ring_max > value:
-            v_star, k_star = rv, rk
-        growth = new_value / value if value > 0.0 else 1.0
-        streak = streak + 1 if growth >= scan.divergence_factor else 0
-        if streak >= scan.divergence_streak:
-            raise DivergentMomentError(
-                f"absolute moment of order {nu:g} for kernel '{kernel.name}' grows "
-                f"without bound (estimate {new_value:.6g} at half-width {new_w})",
-                witness_u=math.exp(v_star),
-                witness_k=k_star,
-                order=nu,
-            )
-        settled = abs(new_value - value) < scan.convergence_tol * max(1.0, new_value)
-        value, w = new_value, new_w
-        if settled:
-            return MomentEstimate(nu, value, math.exp(v_star), k_star, w, _tail_probe(kernel, nu, float(w)))
-    tail = _tail_probe(kernel, nu, float(w))
-    return MomentEstimate(nu, value, math.exp(v_star), k_star, w, tail, converged=False)
+    joins, h, settled = _scan(kernel, term, vs, 0, f"absolute moment of order {nu:g}", nu)
+    i = int(np.argmax(joins))
+    k_star = _join_k(kernel, term, vs[i], 0, h)
+    tail = 0.0 if kernel.log_support_radius is not None else _tail_probe(kernel, nu, float(h))
+    return MomentEstimate(nu, float(joins[i]), math.exp(vs[i]), k_star, h, tail, settled)
 
 
 def discrete_absolute_moment(kernel: Kernel, nu: float, scan: ScanPolicy = ScanPolicy()) -> float:
@@ -355,25 +349,14 @@ def discrete_absolute_moment(kernel: Kernel, nu: float, scan: ScanPolicy = ScanP
     return discrete_absolute_moment_estimate(kernel, nu, scan).value
 
 
-def _algebraic_join(kernel: Kernel, j: int, vs: np.ndarray, ks: np.ndarray, absolute: bool) -> np.ndarray:
-    """Join over ks of chi(e^{v-k}) (k - v)^j for each v (signed by default)."""
-    out = np.full(vs.shape, -np.inf)
-    for lo in range(0, len(ks), _CHUNK):
-        kb = ks[lo : lo + _CHUNK]
-        t = vs[None, :] - kb[:, None]
-        chi = kernel.log_profile(t)
-        poly = (-t) ** j  # (k - v)^j
-        vals = np.abs(chi) * np.abs(poly) if absolute else chi * poly
-        out = np.maximum(out, vals.max(axis=0))
-    return out
+def _algebraic_scan(kernel: Kernel, j: int, vs: np.ndarray, k0: int, absolute: bool) -> np.ndarray:
+    """Join over k of chi(e^{v-k}) (k - v)^j for each v (signed by default)."""
 
+    def term(chi, t):
+        vals = chi * (-t) ** j
+        return np.abs(vals) if absolute else vals
 
-def _algebraic_window(kernel: Kernel, scan: ScanPolicy):
-    if scan.window_half_width is not None:
-        return int(scan.window_half_width)
-    if kernel.log_support_radius is not None:
-        return int(math.ceil(kernel.log_support_radius)) + 1
-    return None
+    return _scan(kernel, term, vs, k0, f"algebraic moment of order {j}", float(j))[0]
 
 
 def algebraic_moment(
@@ -393,44 +376,8 @@ def algebraic_moment(
         raise ValueError("polynomial order j must be a nonnegative integer")
     if not u > 0.0:
         raise ValueError("u must be positive")
-    j = int(j)
     v = math.log(u)
-    vs = np.array([v])
-    w = _algebraic_window(kernel, scan)
-    if w is not None:
-        ks = np.arange(math.floor(v) - w, math.floor(v) + w + 2)
-        return float(_algebraic_join(kernel, j, vs, ks, absolute)[0])
-
-    # non-compact: widen until settled or growth detected
-    w = scan.initial_half_width
-    ks = np.arange(math.floor(v) - w, math.floor(v) + w + 2)
-    value = float(_algebraic_join(kernel, j, vs, ks, absolute)[0])
-    streak = 0
-    while w < scan.max_half_width:
-        new_w = 2 * w
-        ring = np.concatenate(
-            [
-                np.arange(math.floor(v) - new_w, math.floor(v) - w),
-                np.arange(math.floor(v) + w + 2, math.floor(v) + new_w + 2),
-            ]
-        )
-        ring_val = float(_algebraic_join(kernel, j, vs, ring, absolute)[0])
-        new_value = max(value, ring_val)
-        scale = max(abs(value), 1e-300)
-        growth = abs(new_value) / scale if abs(new_value) > scale else 1.0
-        streak = streak + 1 if growth >= scan.divergence_factor else 0
-        if streak >= scan.divergence_streak:
-            raise DivergentMomentError(
-                f"algebraic moment of order {j} for kernel '{kernel.name}' grows without bound",
-                witness_u=u,
-                witness_k=int(ring[0]),
-                order=float(j),
-            )
-        settled = abs(new_value - value) < scan.convergence_tol * max(1.0, abs(new_value))
-        value, w = new_value, new_w
-        if settled:
-            break
-    return value
+    return float(_algebraic_scan(kernel, int(j), np.array([v]), math.floor(v), absolute)[0])
 
 
 def algebraic_moment_profile(
@@ -445,43 +392,7 @@ def algebraic_moment_profile(
     the kernel is from having lattice-invariant algebraic moments.
     """
     vs = _frac_grid(scan.u_points)
-    w = _algebraic_window(kernel, scan)
-    if w is None:
-        w = scan.initial_half_width
-        prev = None
-        streak = 0
-        while True:
-            ks = np.arange(-w, w + 2)
-            vals = _algebraic_join(kernel, j, vs, ks, absolute)
-            peak = float(np.max(np.abs(vals)))
-            if not np.all(np.isfinite(vals)):
-                raise DivergentMomentError(
-                    f"algebraic moment of order {j} for kernel '{kernel.name}' "
-                    "overflows under window widening",
-                    witness_u=math.exp(float(vs[int(np.argmax(np.abs(vals)))])),
-                    witness_k=-w,
-                    order=float(j),
-                )
-            if prev is not None:
-                if np.max(np.abs(vals - prev)) < scan.convergence_tol * max(1.0, peak):
-                    break
-                prev_peak = float(np.max(np.abs(prev)))
-                growth = peak / prev_peak if prev_peak > 0.0 else 1.0
-                streak = streak + 1 if growth >= scan.divergence_factor else 0
-                if streak >= scan.divergence_streak:
-                    raise DivergentMomentError(
-                        f"algebraic moment of order {j} for kernel '{kernel.name}' "
-                        "grows without bound over the u-scan",
-                        witness_u=math.exp(float(vs[int(np.argmax(np.abs(vals)))])),
-                        witness_k=-w,
-                        order=float(j),
-                    )
-            if w >= scan.max_half_width:
-                break
-            prev, w = vals, 2 * w
-        return vs, vals
-    ks = np.arange(-w, w + 2)
-    return vs, _algebraic_join(kernel, j, vs, ks, absolute)
+    return vs, _algebraic_scan(kernel, j, vs, 0, absolute)
 
 
 def algebraic_moment_variation(

@@ -231,8 +231,8 @@ def _series(operator: str, kernel: Kernel, config: SamplingConfig, vs: np.ndarra
 
 
 def _join(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise max of vals over the active set."""
-    return np.where(mask, vals, -np.inf).max(axis=1)
+    """Row-wise max of vals over the active set; a zero join reads +0."""
+    return np.where(mask, vals, -np.inf).max(axis=1) + 0.0
 
 
 def _as_log_values(grid: Union[LogGrid, Sequence[float]]) -> np.ndarray:
@@ -304,7 +304,14 @@ def _from_samples(operator: str, kernel: Kernel, samples: ExpSamples, vs: np.nda
         i, j = np.argwhere(unseen)[0]
         k = int(first[i] + j)
         raise EvaluationError(f"samples do not cover required lattice index k={k}", where=k)
-    if den is not None and not np.all(den > _DENOMINATOR_FLOOR):
+    if den is not None:
+        _require_denominator(kernel, config, vs, den)
+    return values, den
+
+
+def _require_denominator(kernel: Kernel, config: SamplingConfig, vs: np.ndarray, den: np.ndarray):
+    """Raise DegenerateDenominatorError at the first point whose join `den` is not above the floor."""
+    if not np.all(den > _DENOMINATOR_FLOOR):
         i = int(np.argmin(den > _DENOMINATOR_FLOOR))
         x = float(math.exp(vs[i]))
         _, lo, hi = _window(kernel, config, float(vs[i]))
@@ -314,7 +321,6 @@ def _from_samples(operator: str, kernel: Kernel, samples: ExpSamples, vs: np.nda
             w=config.w,
             index_set=list(index_set(config) if config.interval is not None else range(lo, hi + 1)),
         )
-    return values, den
 
 
 def max_product_series_on_grid(

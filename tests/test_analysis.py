@@ -8,10 +8,12 @@ import pytest
 
 import expsampling as es
 from expsampling import (
+    DegenerateDenominatorError,
     ErrorRow,
     ErrorTable,
     HypothesisNotMetError,
     InsufficientDataError,
+    ExpSamples,
     LogGrid,
     SamplingConfig,
 )
@@ -30,6 +32,7 @@ from expsampling.analysis import (
     verify_weighted_image_bound,
     voronovskaja_check,
 )
+from expsampling.operators import index_set, max_product_series_on_grid
 
 GRID = LogGrid(-2.0, 2.0, 129)
 
@@ -284,6 +287,48 @@ class TestLatticeChecks:
     def test_interval_mode_required(self):
         with pytest.raises(HypothesisNotMetError):
             max_product_lattice_checks(es.get_kernel("bspline3"), SamplingConfig(w=8.0), GRID)
+
+    @staticmethod
+    def per_vector_lhs(kernel, config, grid, n_vectors, seed):
+        """The worst violations, with one max-product grid call per sample vector."""
+        ks = list(index_set(config))
+        rng = np.random.default_rng(seed)
+        worst = {"monotone": -math.inf, "subadd": -math.inf, "absdiff": -math.inf, "homog": -math.inf}
+
+        def mg(vec):
+            return max_product_series_on_grid(kernel, ExpSamples(config.w, dict(zip(ks, vec.tolist()))), grid, config)
+
+        for _ in range(n_vectors):
+            fvec = rng.uniform(0.0, 1.0, len(ks))
+            gvec = rng.uniform(0.0, 1.0, len(ks))
+            lam = float(rng.uniform(0.1, 10.0))
+            mg_f, mg_g, mg_lam = mg(fvec), mg(gvec), mg(lam * fvec)
+            worst["monotone"] = max(worst["monotone"], float(np.max(mg_f - mg(np.maximum(fvec, gvec)))))
+            worst["subadd"] = max(worst["subadd"], float(np.max(mg(fvec + gvec) - mg_f - mg_g)))
+            worst["absdiff"] = max(worst["absdiff"], float(np.max(np.abs(mg_f - mg_g) - mg(np.abs(fvec - gvec)))))
+            rel = np.abs(mg_lam - lam * mg_f) / np.maximum(1.0, lam * np.abs(mg_f))
+            worst["homog"] = max(worst["homog"], float(np.max(rel)))
+        return list(worst.values())
+
+    def test_one_band_matches_per_vector_evaluation(self):
+        # grids reaching past the interval put compact bands at the ends of J_w
+        cases = [
+            ("bspline3", SamplingConfig(w=8.0, interval=(1.0, math.e)), LogGrid(0.0, 1.0, 65)),
+            ("gauss1", SamplingConfig(w=8.0, interval=(1.0, math.e)), LogGrid(0.0, 1.0, 65)),
+            ("bspline4", SamplingConfig(w=3.0, interval=(0.5, 2.0)), LogGrid(-1.0, 1.0, 33)),
+            ("gauss05", SamplingConfig(w=5.0, interval=(0.5, 2.0)), LogGrid(-1.5, 1.5, 33)),
+        ]
+        for name, cfg, grid in cases:
+            kernel = es.get_kernel(name)
+            got = [c.lhs for c in max_product_lattice_checks(kernel, cfg, grid, 12, seed=5)]
+            assert got == self.per_vector_lhs(kernel, cfg, grid, 12, 5), name
+
+    def test_degenerate_denominator_raised_once(self):
+        cfg = SamplingConfig(w=8.0, interval=(1.0, math.e))
+        with pytest.raises(DegenerateDenominatorError) as err:
+            max_product_lattice_checks(es.get_kernel("bspline3"), cfg, LogGrid(0.0, 3.0, 7), 5)
+        assert err.value.x == pytest.approx(math.exp(1.5))
+        assert err.value.index_set == list(index_set(cfg))
 
 
 class TestOperatorConsistency:

@@ -79,8 +79,9 @@ def dense_values(operator, f, kernel, config, vs, c=0.0):
             if operator == "S":
                 terms = np.where(mask, chi * fv[None, :], 0.0)
             else:
-                num = np.where(mask, chi * fv[None, :], -np.inf).max(axis=1)
-                den = np.where(mask, chi, -np.inf).max(axis=1)
+                # a zero join reads +0, whatever the signs of the zeros it joins
+                num = np.where(mask, chi * fv[None, :], -np.inf).max(axis=1) + 0.0
+                den = np.where(mask, chi, -np.inf).max(axis=1) + 0.0
                 ok = den > 1e-300
                 values = np.where(ok, num / np.where(ok, den, 1.0), np.nan)
                 for i in np.nonzero(~ok)[0]:

@@ -410,3 +410,11 @@ class TestEvaluateOnGrid:
         cfg = SamplingConfig(w=8.0, interval=(0.5, 2.0))
         rows = evaluate_on_grid("MG", es.get_function("weight"), b3, cfg, LogGrid(-0.6, 0.6, 41))
         assert all(math.isfinite(r.value) for r in rows)
+
+    def test_zero_max_product_values_read_positive_zero(self):
+        # the sign of a zero join must not follow the reduction order
+        cfg = SamplingConfig(w=13, window_half_width=3)
+        rows = evaluate_on_grid("MG", es.get_function("log"), es.get_kernel("linc0"), cfg, LogGrid(-1, 1.5, 301))
+        zeros = [r.value for r in rows if r.value == 0.0]
+        assert zeros
+        assert not any(math.copysign(1.0, v) < 0.0 for v in zeros)
