@@ -22,8 +22,6 @@ from .kernels import (
     Kernel,
     MomentEstimate,
     MomentReport,
-    ScanPolicy,
-    Tolerances,
     algebraic_moment,
     algebraic_moment_profile,
     algebraic_moment_variation,

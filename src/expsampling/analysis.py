@@ -27,8 +27,8 @@ from .errors import (
 )
 from .kernels import (
     Kernel,
-    ScanPolicy,
-    Tolerances,
+    MomentReport,
+    _frac_grid,
     algebraic_moment,
     check_kernel_conditions,
     discrete_absolute_moment,
@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 DEFAULT_RATE_OMEGA_GRID = LogGrid(-8.0, 8.0, 2001)
+_BOUND_RTOL = 1e-9  # relative slack of the image and operator-norm verdicts
 
 
 def _safe(v):
@@ -157,11 +158,19 @@ def _require(condition: bool, message: str):
         raise HypothesisNotMetError(message)
 
 
-def _kernel_moments(kernel: Kernel, orders, scan: ScanPolicy) -> dict:
-    out = {}
-    for nu in orders:
-        out[nu] = discrete_absolute_moment(kernel, nu, scan)
-    return out
+def _admissible(kernel: Kernel, mu: float, r: int = 0) -> MomentReport:
+    """The kernel's condition report; raises unless chi1 (order mu) and chi2 hold."""
+    report = check_kernel_conditions(kernel, mu, r)
+    _require(report.chi1_holds, f"kernel '{kernel.name}' lacks a finite order-{mu:g} moment")
+    _require(report.chi2_holds, f"kernel '{kernel.name}' has nonpositive infimum over [1,e]")
+    return report
+
+
+def _unmet(bound_name: str, lhs: float, rhs: float, **details) -> BoundCheck:
+    """A check whose hypotheses fail: reported, neither held nor violated."""
+    return BoundCheck(
+        bound_name, lhs, rhs, holds=False, slack=math.nan, hypothesis_met=False, details=details
+    )
 
 
 # --------------------------------------------------------------------------
@@ -173,17 +182,13 @@ def verify_weighted_image_bound(
     kernel: Kernel,
     config: SamplingConfig,
     grid: LogGrid,
-    scan: ScanPolicy = ScanPolicy(),
-    tol: float = 1e-9,
 ) -> BoundCheck:
     """Check the max-product image of the reciprocal weight against its bound.
 
     At every grid x the value |MG(psi, x)| must stay below
     (1 + log^2 x)/eta * [m0 + (2/w) m1 + (1/w^2) m2].
     """
-    report = check_kernel_conditions(kernel, mu=2.0, r=0, scan=scan)
-    _require(report.chi1_holds, f"kernel '{kernel.name}' lacks a finite order-2 moment")
-    _require(report.chi2_holds, f"kernel '{kernel.name}' has nonpositive infimum over [1,e]")
+    report = _admissible(kernel, 2.0)
     m0 = report.absolute_moments[0.0]
     m1 = report.absolute_moments[1.0]
     m2 = report.absolute_moments[2.0]
@@ -197,7 +202,7 @@ def verify_weighted_image_bound(
     finite = np.isfinite(lhs)
     margin = np.where(finite, lhs - rhs, np.inf)
     i = int(np.argmax(margin))
-    holds = bool(np.all(finite) and np.all(lhs <= rhs + tol * np.maximum(1.0, rhs)))
+    holds = bool(np.all(finite) and np.all(lhs <= rhs + _BOUND_RTOL * np.maximum(1.0, rhs)))
     return BoundCheck(
         bound_name="weighted_image_bound",
         lhs=float(lhs[i]),
@@ -223,8 +228,6 @@ def verify_operator_norm(
     config: SamplingConfig,
     grid: LogGrid,
     function_set: Optional[Sequence[WeightedFunction]] = None,
-    scan: ScanPolicy = ScanPolicy(),
-    tol: float = 1e-9,
 ) -> BoundCheck:
     """Check the weighted operator norm bound (1/eta^2)[m0 + (2/w)m1 + (1/w^2)m2].
 
@@ -232,9 +235,7 @@ def verify_operator_norm(
     the probe function set.  The tighter variant with a single 1/eta is also
     evaluated and reported in the details.
     """
-    report = check_kernel_conditions(kernel, mu=2.0, r=0, scan=scan)
-    _require(report.chi1_holds, f"kernel '{kernel.name}' lacks a finite order-2 moment")
-    _require(report.chi2_holds, f"kernel '{kernel.name}' has nonpositive infimum over [1,e]")
+    report = _admissible(kernel, 2.0)
     m0 = report.absolute_moments[0.0]
     m1 = report.absolute_moments[1.0]
     m2 = report.absolute_moments[2.0]
@@ -268,7 +269,7 @@ def verify_operator_norm(
         bound_name="weighted_operator_norm",
         lhs=lhs,
         rhs=rhs,
-        holds=bool(lhs <= rhs + tol * max(1.0, rhs)),
+        holds=bool(lhs <= rhs + _BOUND_RTOL * max(1.0, rhs)),
         slack=rhs - lhs,
         witness=None,
         details={
@@ -278,7 +279,7 @@ def verify_operator_norm(
             "ratios": {k: _safe(v) for k, v in sorted(ratios.items())},
             "eta": eta,
             "single_eta_rhs": rhs_single_eta,
-            "single_eta_bound_holds": bool(lhs <= rhs_single_eta + tol * max(1.0, rhs_single_eta)),
+            "single_eta_bound_holds": bool(lhs <= rhs_single_eta + _BOUND_RTOL * max(1.0, rhs_single_eta)),
             "grid": grid.spec(),
         },
     )
@@ -348,7 +349,6 @@ def verify_quantitative_rate(
     shift_points: int = 129,
     safety: float = 1.0,
     slack: float = 0.05,
-    scan: ScanPolicy = ScanPolicy(),
 ) -> list[BoundCheck]:
     """Check the modulus-of-continuity rate bound pointwise for each rate.
 
@@ -360,9 +360,7 @@ def verify_quantitative_rate(
     """
     if any(w < 1.0 for w in w_list):
         raise ValueError("rate bound requires w >= 1")
-    report = check_kernel_conditions(kernel, mu=5.0, r=0, scan=scan)
-    _require(report.chi1_holds, f"kernel '{kernel.name}' lacks a finite order-5 moment")
-    _require(report.chi2_holds, f"kernel '{kernel.name}' has nonpositive infimum over [1,e]")
+    report = _admissible(kernel, 5.0)
     _require(f.nonnegative, f"'{f.name}' is not registered nonnegative")
     m0 = report.absolute_moments[0.0]
     m5 = report.absolute_moments[5.0]
@@ -425,7 +423,6 @@ def voronovskaja_check(
     require_constant_moments: bool = True,
     omega_grid: LogGrid = DEFAULT_RATE_OMEGA_GRID,
     shift_points: int = 129,
-    scan: ScanPolicy = ScanPolicy(),
 ) -> list[BoundCheck]:
     """Check the quantitative asymptotic expansion of the max-product error.
 
@@ -446,9 +443,7 @@ def voronovskaja_check(
         raise ValueError("expansion order r must be at least 1")
     if any(w < 1.0 for w in w_list):
         raise ValueError("expansion check requires w >= 1")
-    report = check_kernel_conditions(kernel, mu=float(r + 5), r=r, scan=scan)
-    _require(report.chi1_holds, f"kernel '{kernel.name}' lacks a finite order-{r + 5} moment")
-    _require(report.chi2_holds, f"kernel '{kernel.name}' has nonpositive infimum over [1,e]")
+    report = _admissible(kernel, float(r + 5), r)
     _require(f.nonnegative, f"'{f.name}' is not registered nonnegative")
     if require_constant_moments and not report.chi3_holds:
         variation = {
@@ -461,16 +456,14 @@ def voronovskaja_check(
 
     theta_r = mellin_derivative_function(f, r)
     theta_fns = [f] + [mellin_derivative_function(f, t) for t in range(1, r + 1)]
-    m_r = discrete_absolute_moment(kernel, float(r), scan)
+    m_r = discrete_absolute_moment(kernel, float(r))
     m_r5 = report.absolute_moments[float(r + 5)]
     factorial_r = math.factorial(r)
 
     vs = x_grid.log_values()
     xs = np.exp(vs)
     theta_vals = [np.asarray(fn.evaluate(xs), dtype=float) for fn in theta_fns]
-    const_m = {
-        t: algebraic_moment(kernel, t, 1.0, scan) for t in range(0, r + 1)
-    }
+    const_m = {t: algebraic_moment(kernel, t, 1.0) for t in range(0, r + 1)}
 
     checks = []
     for w in sorted(w_list):
@@ -552,26 +545,19 @@ def moment_dominance_check(
     kernel: Kernel,
     mu: float = 2.0,
     orders: Optional[Sequence[float]] = None,
-    scan: ScanPolicy = ScanPolicy(),
 ) -> BoundCheck:
     """Every moment of order nu <= mu must stay below m0 + m_mu."""
     if orders is None:
         orders = [mu * k / 4.0 for k in range(5)]
     try:
-        moments = _kernel_moments(kernel, sorted(set([0.0, float(mu)] + list(orders))), scan)
+        moments = {
+            nu: discrete_absolute_moment(kernel, nu)
+            for nu in sorted(set([0.0, float(mu)] + list(orders)))
+        }
     except DivergentMomentError as exc:
-        return BoundCheck(
-            bound_name="moment_dominance",
-            lhs=math.inf,
-            rhs=math.inf,
-            holds=False,
-            slack=math.nan,
-            hypothesis_met=False,
-            details={
-                "kernel": kernel.name,
-                "mu": mu,
-                "reason": f"m_{exc.order:g} divergent at u={exc.witness_u:.6g}, k={exc.witness_k}",
-            },
+        return _unmet(
+            "moment_dominance", math.inf, math.inf, kernel=kernel.name, mu=mu,
+            reason=f"m_{exc.order:g} divergent at u={exc.witness_u:.6g}, k={exc.witness_k}",
         )
     rhs = moments[0.0] + moments[float(mu)]
     worst_nu = max((nu for nu in moments if nu <= mu), key=lambda nu: moments[nu])
@@ -597,7 +583,6 @@ def tail_decay_check(
     nu: float,
     delta: float,
     w: float,
-    scan: ScanPolicy = ScanPolicy(),
 ) -> BoundCheck:
     """The lattice join beyond offset delta*w must fall below m_nu/(delta w)^nu.
 
@@ -605,20 +590,11 @@ def tail_decay_check(
     with |k - log u| > delta w.
     """
     try:
-        est = discrete_absolute_moment_estimate(kernel, nu, scan)
+        est = discrete_absolute_moment_estimate(kernel, nu)
     except DivergentMomentError as exc:
-        return BoundCheck(
-            bound_name="tail_decay",
-            lhs=math.inf,
-            rhs=math.inf,
-            holds=False,
-            slack=math.nan,
-            hypothesis_met=False,
-            details={
-                "kernel": kernel.name,
-                "nu": nu,
-                "reason": f"m_{nu:g} divergent at u={exc.witness_u:.6g}",
-            },
+        return _unmet(
+            "tail_decay", math.inf, math.inf, kernel=kernel.name, nu=nu,
+            reason=f"m_{nu:g} divergent at u={exc.witness_u:.6g}",
         )
     m_nu = est.value
     cut = delta * w
@@ -626,7 +602,7 @@ def tail_decay_check(
         reach = int(math.ceil(max(cut, kernel.log_support_radius))) + 2
     else:
         reach = int(math.ceil(cut)) + max(32, est.half_width)
-    vs = np.arange(scan.u_points, dtype=float) / scan.u_points
+    vs = _frac_grid()
     ks = np.arange(-reach, reach + 2)
     t = vs[None, :] - ks[:, None]
     outside = np.abs(t) > cut
@@ -651,7 +627,6 @@ def denominator_bound_check(
     interval: tuple[float, float] = (1.0, math.e),
     w_list: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
     grid_points: int = 257,
-    eta_min: float = 0.0,
 ) -> BoundCheck:
     """The denominator join must stay above the kernel infimum over [1, e].
 
@@ -659,18 +634,10 @@ def denominator_bound_check(
     full-window join on a wider grid.
     """
     eta = eta_lower_bound(kernel)
-    if eta <= eta_min:
-        return BoundCheck(
-            bound_name="denominator_lower_bound",
-            lhs=eta,
-            rhs=math.nan,
-            holds=False,
-            slack=math.nan,
-            hypothesis_met=False,
-            details={
-                "kernel": kernel.name,
-                "reason": f"kernel infimum over [1,e] is {eta:.6g}, not positive",
-            },
+    if eta <= 0.0:
+        return _unmet(
+            "denominator_lower_bound", eta, math.nan, kernel=kernel.name,
+            reason=f"kernel infimum over [1,e] is {eta:.6g}, not positive",
         )
     a, b = interval
     w_min = 1.0 / (math.log(b) - math.log(a))
@@ -705,13 +672,13 @@ def denominator_bound_check(
     )
 
 
-def lemma_suite(kernel: Kernel, tol: Tolerances = Tolerances(), scan: ScanPolicy = ScanPolicy()) -> list[BoundCheck]:
+def lemma_suite(kernel: Kernel) -> list[BoundCheck]:
     """Moment dominance, tail decay and denominator bound for one kernel."""
-    checks = [moment_dominance_check(kernel, 2.0, scan=scan)]
+    checks = [moment_dominance_check(kernel, 2.0)]
     for nu in (1.0, 2.0):
         for delta in (0.25, 0.5):
-            checks.append(tail_decay_check(kernel, nu, delta, 8.0, scan))
-    checks.append(denominator_bound_check(kernel, eta_min=tol.eta_min))
+            checks.append(tail_decay_check(kernel, nu, delta, 8.0))
+    checks.append(denominator_bound_check(kernel))
     return checks
 
 
@@ -813,7 +780,6 @@ class SuiteResult:
 def run_suite(
     kernel_names: Sequence[str] = ("bspline3", "gauss1"),
     seed: int = 0,
-    scan: ScanPolicy = ScanPolicy(),
 ) -> SuiteResult:
     """The desk-scale verification suite used by the command-line runner."""
     from .kernels import get_kernel
@@ -822,34 +788,24 @@ def run_suite(
     grid = LogGrid(-2.0, 2.0, 129)
     for name in kernel_names:
         kernel = get_kernel(name)
-        result.checks.extend(lemma_suite(kernel, scan=scan))
+        result.checks.extend(lemma_suite(kernel))
         config = SamplingConfig(w=8.0)
         try:
-            result.checks.append(verify_weighted_image_bound(kernel, config, grid, scan))
-            result.checks.append(verify_operator_norm(kernel, config, grid, scan=scan))
+            result.checks.append(verify_weighted_image_bound(kernel, config, grid))
+            result.checks.append(verify_operator_norm(kernel, config, grid))
         except HypothesisNotMetError as exc:
             result.checks.append(
-                BoundCheck(
-                    bound_name="weighted_image_bound",
-                    lhs=math.nan,
-                    rhs=math.nan,
-                    holds=False,
-                    slack=math.nan,
-                    hypothesis_met=False,
-                    details={"kernel": name, "reason": str(exc)},
-                )
+                _unmet("weighted_image_bound", math.nan, math.nan, kernel=name, reason=str(exc))
             )
             continue
-        if eta_lower_bound(kernel) > 0.0:
-            lattice_config = SamplingConfig(w=8.0, interval=(1.0, math.e))
-            result.checks.extend(
-                max_product_lattice_checks(kernel, lattice_config, LogGrid(0.0, 1.0, 65), 100, seed)
-            )
-            result.tables.append(
-                convergence_experiment(
-                    get_function("weight"), kernel, (4.0, 8.0, 16.0, 32.0), grid
-                )
-            )
+        # the image bound required chi2, so the denominator is positive here
+        lattice_config = SamplingConfig(w=8.0, interval=(1.0, math.e))
+        result.checks.extend(
+            max_product_lattice_checks(kernel, lattice_config, LogGrid(0.0, 1.0, 65), 100, seed)
+        )
+        result.tables.append(
+            convergence_experiment(get_function("weight"), kernel, (4.0, 8.0, 16.0, 32.0), grid)
+        )
     return result
 
 

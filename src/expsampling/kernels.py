@@ -10,11 +10,14 @@ lattice join collapses to one period of the fractional part of log u, so a
 uniform grid on [0, 1) resolves it up to grid spacing.
 
 Kernels are immutable after construction and safe to share across threads;
-every scan is a pure function of its arguments with deterministic reductions.
+every scan is a pure function of its arguments with deterministic reductions,
+so the absolute-moment estimates and the algebraic-moment variations are
+memoised per (kernel object, order) in bounded caches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -25,8 +28,6 @@ from .errors import DivergentMomentError
 
 __all__ = [
     "Kernel",
-    "ScanPolicy",
-    "Tolerances",
     "MomentEstimate",
     "MomentReport",
     "mellin_bspline",
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 _CHUNK = 256  # max lattice rows materialised per scan block
+_U_POINTS = 4096  # resolution of the fractional-part grid for log u
+_CHI3_REL = 1e-9  # chi3 allows a spread of _CHI3_REL (1 + |max|) over the u-scan
+_CACHE_SIZE = 1024  # memoised scans, keyed by (kernel object, order)
 # window widening of the moment scans for kernels without compact support
 _FIRST_HALF_WIDTH = 8
 _MAX_HALF_WIDTH = 2048
@@ -93,26 +97,6 @@ class Kernel:
             raise ValueError("kernel argument must be positive")
         out = self.log_profile(np.log(x))
         return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True)
-class ScanPolicy:
-    """Controls the lattice scans behind the moment estimators.
-
-    Only `u_points` remains: the resolution of the fractional-part grid for
-    log u.  The k-window follows one rule for every scan (see `_scan`).
-    """
-
-    u_points: int = 4096
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Verdict thresholds for the kernel condition checker."""
-
-    eta_min: float = 0.0
-    chi3_rel: float = 1e-9
-    eta_grid_points: int = 4097
 
 
 @dataclass(frozen=True)
@@ -251,8 +235,8 @@ def lin_kernel(c: float) -> Kernel:
 # --------------------------------------------------------------------------
 
 
-def _frac_grid(n: int) -> np.ndarray:
-    return np.arange(n, dtype=float) / n
+def _frac_grid() -> np.ndarray:
+    return np.arange(_U_POINTS, dtype=float) / _U_POINTS
 
 
 def _tail_probe(kernel: Kernel, nu: float, start: float, span: float = 16.0, points: int = 4096) -> float:
@@ -316,9 +300,8 @@ def _scan(kernel: Kernel, term, vs: np.ndarray, k0: int, what: str, order: float
         prev_peak, joins, h = peak, widened, 2 * h
 
 
-def discrete_absolute_moment_estimate(
-    kernel: Kernel, nu: float, scan: ScanPolicy = ScanPolicy()
-) -> MomentEstimate:
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def discrete_absolute_moment_estimate(kernel: Kernel, nu: float) -> MomentEstimate:
     """Scan the discrete absolute moment of order nu in the max-product sense.
 
     The scanned quantity is sup over u > 0 of the lattice join over k of
@@ -328,15 +311,16 @@ def discrete_absolute_moment_estimate(
     reports the scanned decay of the integrand beyond the final window.
 
     Raises DivergentMomentError (with the witnessing u and k) when the
-    running estimate keeps growing under window doublings.
+    running estimate keeps growing under window doublings, and ValueError
+    unless 0 <= nu < inf.  Estimates are memoised per (kernel object, nu).
     """
-    if nu < 0.0:
-        raise ValueError("moment order must be nonnegative")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"moment order must be finite and nonnegative, got {nu!r}")
 
     def term(chi, t):
         return np.abs(chi) * np.abs(t) ** nu
 
-    vs = _frac_grid(scan.u_points)
+    vs = _frac_grid()
     joins, h, settled = _scan(kernel, term, vs, 0, f"absolute moment of order {nu:g}", nu)
     i = int(np.argmax(joins))
     k_star = _join_k(kernel, term, vs[i], 0, h)
@@ -344,9 +328,9 @@ def discrete_absolute_moment_estimate(
     return MomentEstimate(nu, float(joins[i]), math.exp(vs[i]), k_star, h, tail, settled)
 
 
-def discrete_absolute_moment(kernel: Kernel, nu: float, scan: ScanPolicy = ScanPolicy()) -> float:
+def discrete_absolute_moment(kernel: Kernel, nu: float) -> float:
     """The moment estimate alone; see `discrete_absolute_moment_estimate`."""
-    return discrete_absolute_moment_estimate(kernel, nu, scan).value
+    return discrete_absolute_moment_estimate(kernel, nu).value
 
 
 def _algebraic_scan(kernel: Kernel, j: int, vs: np.ndarray, k0: int, absolute: bool) -> np.ndarray:
@@ -359,13 +343,7 @@ def _algebraic_scan(kernel: Kernel, j: int, vs: np.ndarray, k0: int, absolute: b
     return _scan(kernel, term, vs, k0, f"algebraic moment of order {j}", float(j))[0]
 
 
-def algebraic_moment(
-    kernel: Kernel,
-    j: int,
-    u: float,
-    scan: ScanPolicy = ScanPolicy(),
-    absolute: bool = False,
-) -> float:
+def algebraic_moment(kernel: Kernel, j: int, u: float, absolute: bool = False) -> float:
     """Signed lattice join over k of chi(e^{-k} u) (k - log u)^j.
 
     The join is taken of the signed products exactly as the operator
@@ -381,25 +359,22 @@ def algebraic_moment(
 
 
 def algebraic_moment_profile(
-    kernel: Kernel,
-    j: int,
-    scan: ScanPolicy = ScanPolicy(),
-    absolute: bool = False,
+    kernel: Kernel, j: int, absolute: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values of the order-j algebraic moment over one period of log u.
 
     Returns (log_u_grid, values); the spread of `values` quantifies how far
     the kernel is from having lattice-invariant algebraic moments.
     """
-    vs = _frac_grid(scan.u_points)
+    vs = _frac_grid()
     return vs, _algebraic_scan(kernel, j, vs, 0, absolute)
 
 
-def algebraic_moment_variation(
-    kernel: Kernel, j: int, scan: ScanPolicy = ScanPolicy(), absolute: bool = False
-) -> tuple[float, float]:
-    """(min, max) of the order-j algebraic moment over the u-scan."""
-    _, vals = algebraic_moment_profile(kernel, j, scan, absolute)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def algebraic_moment_variation(kernel: Kernel, j: int, absolute: bool = False) -> tuple[float, float]:
+    """(min, max) of the order-j algebraic moment over the u-scan, memoised
+    per (kernel object, j, absolute)."""
+    _, vals = algebraic_moment_profile(kernel, j, absolute)
     return float(vals.min()), float(vals.max())
 
 
@@ -411,24 +386,19 @@ def eta_lower_bound(kernel: Kernel, grid_points: int = 4097) -> float:
     return float(np.min(kernel.log_profile(ts)))
 
 
-def check_kernel_conditions(
-    kernel: Kernel,
-    mu: float,
-    r: int,
-    tol: Tolerances = Tolerances(),
-    scan: ScanPolicy = ScanPolicy(),
-) -> MomentReport:
+def check_kernel_conditions(kernel: Kernel, mu: float, r: int) -> MomentReport:
     """Run the three kernel condition checks and assemble a MomentReport.
 
     chi1: the absolute moment of order mu is finite under the divergence test.
-    chi2: the infimum of chi over [1, e] exceeds `tol.eta_min`.
+    chi2: the infimum of chi over [1, e] is positive.
     chi3: for every j <= r the signed algebraic moment varies over the u-scan
-          by at most chi3_rel * (1 + |max|).
+          by at most 1e-9 (1 + |max|).
 
-    Failed conditions are verdicts with diagnostics, never exceptions.
+    Failed conditions are verdicts with diagnostics, never exceptions;
+    ValueError is raised unless 0 <= mu < inf and r >= 0.
     """
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and nonnegative, got {mu!r}")
     if r < 0:
         raise ValueError("r must be nonnegative")
     report = MomentReport(kernel_name=kernel.name)
@@ -437,7 +407,7 @@ def check_kernel_conditions(
     chi1 = True
     for nu in orders:
         try:
-            est = discrete_absolute_moment_estimate(kernel, nu, scan)
+            est = discrete_absolute_moment_estimate(kernel, nu)
         except DivergentMomentError as exc:
             if nu == float(mu):
                 chi1 = False
@@ -458,24 +428,24 @@ def check_kernel_conditions(
         report.diagnostics["chi1"] = f"m_{mu:g} finite: {report.absolute_moments[float(mu)]:.12g}"
     report.chi1_holds = chi1
 
-    report.eta = eta_lower_bound(kernel, tol.eta_grid_points)
-    report.chi2_holds = report.eta > tol.eta_min
+    report.eta = eta_lower_bound(kernel)
+    report.chi2_holds = report.eta > 0.0
     report.diagnostics["chi2"] = (
         f"inf over [1,e] = {report.eta:.12g} "
-        f"({'positive' if report.chi2_holds else 'not above ' + format(tol.eta_min, 'g')})"
+        f"({'positive' if report.chi2_holds else 'not above 0'})"
     )
 
     chi3 = True
     worst = ""
     for j in range(r + 1):
         try:
-            lo, hi = algebraic_moment_variation(kernel, j, scan)
+            lo, hi = algebraic_moment_variation(kernel, j)
         except DivergentMomentError as exc:
             chi3 = False
             worst = f"order {j} divergent at u={exc.witness_u:.6g}"
             break
         report.algebraic_moment_variation[j] = (lo, hi)
-        if hi - lo > tol.chi3_rel * (1.0 + abs(hi)):
+        if hi - lo > _CHI3_REL * (1.0 + abs(hi)):
             chi3 = False
             if not worst:
                 worst = f"order {j} varies by {hi - lo:.6g} over the u-scan"

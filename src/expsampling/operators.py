@@ -78,8 +78,8 @@ class SamplingConfig:
     quadrature_points: int = 8
 
     def __post_init__(self):
-        if not self.w > 0.0:
-            raise ConfigurationError(f"sampling rate w must be positive, got {self.w!r}")
+        if not 0.0 < self.w < math.inf:
+            raise ConfigurationError(f"sampling rate w must be positive and finite, got {self.w!r}")
         if self.interval is not None:
             a, b = self.interval
             if not (0.0 < a < b):
@@ -131,8 +131,8 @@ class ExpSamples:
     entries: Mapping[int, float]
 
     def __post_init__(self):
-        if not self.w > 0.0:
-            raise ConfigurationError("sample rate w must be positive")
+        if not 0.0 < self.w < math.inf:
+            raise ConfigurationError(f"sample rate w must be positive and finite, got {self.w!r}")
         if not self.entries:
             raise ConfigurationError("ExpSamples requires at least one entry")
         ks = sorted(self.entries)

@@ -278,6 +278,17 @@ class TestLatticeChecks:
         assert all(c.holds for c in checks)
         assert all(c.lhs <= 1e-12 for c in checks)
 
+    def test_laws_hold_for_every_positive_kernel_and_rate(self):
+        for name in ("bspline3", "bspline4", "bspline5", "gauss1", "gauss05"):
+            kernel = es.get_kernel(name)
+            assert es.eta_lower_bound(kernel) > 0.0
+            for w in (1.0, 3.0, 8.0, 32.0):
+                cfg = SamplingConfig(w=w, interval=(1.0, math.e))
+                checks = max_product_lattice_checks(kernel, cfg, LogGrid(0.0, 1.0, 65), 20, seed=7)
+                assert len(checks) == 4
+                for c in checks:
+                    assert c.holds and c.lhs <= 1e-12, (name, w, c.bound_name, c.lhs)
+
     def test_deterministic_given_seed(self):
         cfg = SamplingConfig(w=8.0, interval=(1.0, math.e))
         a = max_product_lattice_checks(es.get_kernel("bspline3"), cfg, LogGrid(0.0, 1.0, 17), 10, seed=3)

@@ -106,6 +106,25 @@ class TestReconstruct:
         assert "grid" in err
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["moments", "--kernel", "bspline3", "--nu", "nan"],
+            ["kernel-check", "--kernel", "bspline3", "--mu", "nan", "--r", "0"],
+            ["kernel-check", "--kernel", "bspline3", "--mu", "inf", "--r", "0"],
+            ["reconstruct", "--kernel", "bspline3", "--function", "weight", "--w", "inf",
+             "--grid", "-1:1:5"],
+        ],
+    )
+    def test_usage_error_and_no_artifact(self, args, tmp_path, capsys):
+        out_file = tmp_path / "out.json"
+        code, _, err = run_cli(args + ["--output", str(out_file)], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out_file.exists()
+
+
 class TestConverge:
     def test_decreasing_errors_csv(self, tmp_path, capsys):
         out_file = tmp_path / "conv.csv"

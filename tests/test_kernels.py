@@ -1,5 +1,6 @@
 """Kernel values and moment scans against independent closed-form oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expsampling as es
-from expsampling import DivergentMomentError, ScanPolicy, Tolerances
+from expsampling import DivergentMomentError
 
 
 # --- independent closed forms, derived by hand from the convolution pieces ---
@@ -287,9 +288,91 @@ class TestConditionChecker:
 class TestScanConsistency:
     def test_order0_matches_denominator_join_path(self):
         # two code paths for the same quantity must agree on identical grids
-        scan = ScanPolicy(u_points=2048)
         for name in ("bspline3", "gauss1"):
             k = es.get_kernel(name)
-            m0 = es.discrete_absolute_moment(k, 0.0, scan)
-            _, profile = es.algebraic_moment_profile(k, 0, scan)
+            m0 = es.discrete_absolute_moment(k, 0.0)
+            _, profile = es.algebraic_moment_profile(k, 0)
             assert m0 == pytest.approx(float(profile.max()), abs=1e-12)
+
+
+# array forms of the closed forms above, for dense brute-force scans
+ARRAY_FORMS = {
+    "bspline2": (hat, lambda t: np.maximum(0.0, 1.0 - np.abs(t))),
+    "bspline3": (
+        quad_spline,
+        lambda t: np.select(
+            [np.abs(t) <= 0.5, np.abs(t) <= 1.5], [0.75 - t * t, 0.5 * (1.5 - np.abs(t)) ** 2]
+        ),
+    ),
+    "bspline4": (
+        cubic_spline,
+        lambda t: np.select(
+            [np.abs(t) <= 1.0, np.abs(t) <= 2.0],
+            [2.0 / 3.0 - t * t + np.abs(t) ** 3 / 2.0, (2.0 - np.abs(t)) ** 3 / 6.0],
+        ),
+    ),
+    "gauss1": (lambda t: math.exp(-t * t), lambda t: np.exp(-t * t)),
+}
+
+
+def _count_scans(monkeypatch):
+    """Empty both scan caches and record the kernel name of every `_scan` call."""
+    from expsampling import kernels
+
+    calls = []
+    scan = kernels._scan
+
+    def counting(kernel, *args):
+        calls.append(kernel.name)
+        return scan(kernel, *args)
+
+    monkeypatch.setattr(kernels, "_scan", counting)
+    es.discrete_absolute_moment_estimate.cache_clear()
+    es.algebraic_moment_variation.cache_clear()
+    return calls
+
+
+class TestMemoisedScans:
+    def test_array_forms_match_closed_forms(self):
+        ts = np.linspace(-3.0, 3.0, 1201)
+        for name, (scalar, array) in ARRAY_FORMS.items():
+            np.testing.assert_allclose(array(ts), [scalar(t) for t in ts], rtol=0, atol=1e-15)
+
+    @given(st.sampled_from(sorted(ARRAY_FORMS)), st.floats(min_value=0.0, max_value=6.0))
+    @settings(max_examples=50, deadline=None)
+    def test_scanner_vs_brute_force_random_orders(self, name, nu):
+        kernel = es.get_kernel(name)
+        profile = ARRAY_FORMS[name][1]
+        est = es.discrete_absolute_moment_estimate(kernel, nu)
+        # on the scanner's own 4096-point u-grid the joins must agree to rounding
+        assert est.value == pytest.approx(brute_force_moment(profile, nu, 8, 4096), rel=1e-12)
+        # the hat's peak is a kink: as nu -> 0 the sup is approached at t -> 0+, which
+        # the u-grid resolves only to its spacing 1/4096 (the hat has slope 1)
+        rel = 1.0 / 4096 if name == "bspline2" and nu < 0.05 else 1e-6
+        assert est.value == pytest.approx(brute_force_moment(profile, nu, 8, 100_000), rel=rel)
+        assert es.discrete_absolute_moment_estimate(kernel, nu) is est
+        es.discrete_absolute_moment_estimate.cache_clear()
+        assert es.discrete_absolute_moment_estimate(kernel, nu) == est
+
+    def test_suite_scans_each_kernel_order_once(self, monkeypatch):
+        calls = _count_scans(monkeypatch)
+        es.run_suite(("bspline3", "gauss1"))
+        # nu in {0, 0.5, 1, 1.5, 2} and the order-0 variation, for each kernel
+        assert sorted(calls) == ["bspline3"] * 6 + ["gauss1"] * 6
+        calls.clear()
+        es.run_suite(("bspline3", "gauss1"))
+        assert calls == []
+
+    def test_reregistered_kernel_is_scanned_afresh(self, monkeypatch):
+        calls = _count_scans(monkeypatch)
+        first = dataclasses.replace(es.mellin_bspline(3), name="memo_probe")
+        second = dataclasses.replace(first, log_profile=lambda t: 0.5 * first.log_profile(t))
+        monkeypatch.setitem(es.KERNELS, "memo_probe", None)  # dropped again after the test
+        es.register_kernel(first)
+        m_first = es.discrete_absolute_moment(es.get_kernel("memo_probe"), 1.0)
+        es.register_kernel(second)
+        m_second = es.discrete_absolute_moment(es.get_kernel("memo_probe"), 1.0)
+        assert m_second == 0.5 * m_first
+        assert calls == ["memo_probe", "memo_probe"]
+        assert es.discrete_absolute_moment(first, 1.0) == m_first
+        assert len(calls) == 2

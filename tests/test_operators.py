@@ -52,6 +52,13 @@ class TestSamplingConfig:
         with pytest.raises(ConfigurationError):
             SamplingConfig(w=1.0, quadrature_points=0)
 
+    def test_non_finite_rate_rejected(self):
+        for w in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                SamplingConfig(w=w)
+            with pytest.raises(ConfigurationError):
+                ExpSamples(w, {0: 1.0})
+
     def test_empty_index_set_rejected(self):
         # ceil(w log a) > floor(w log b) between lattice points
         with pytest.raises(ConfigurationError):
