@@ -56,6 +56,7 @@ from .spaces import (
 from .operators import (
     ExpSamples,
     GridPoint,
+    GridResult,
     SamplingConfig,
     classical_exponential_formula,
     classical_exponential_formula_with_diagnostics,

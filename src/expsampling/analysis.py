@@ -196,8 +196,8 @@ def verify_weighted_image_bound(
     w = config.w
 
     rows = evaluate_on_grid("MG", get_function("psi"), kernel, config, grid)
-    vs = grid.log_values()
-    lhs = np.array([abs(r.value) for r in rows])
+    vs = rows.log_x
+    lhs = np.abs(rows.value)
     rhs = (1.0 + vs * vs) / eta * (m0 + 2.0 * m1 / w + m2 / (w * w))
     finite = np.isfinite(lhs)
     margin = np.where(finite, lhs - rhs, np.inf)
@@ -209,7 +209,7 @@ def verify_weighted_image_bound(
         rhs=float(rhs[i]),
         holds=holds,
         slack=float(rhs[i] - lhs[i]),
-        witness=float(math.exp(vs[i])),
+        witness=float(rows.x[i]),
         details={
             "kernel": kernel.name,
             "w": w,
@@ -254,8 +254,7 @@ def verify_operator_norm(
         norm_f = float(np.max(wgt * np.abs(fvals)))
         if norm_f == 0.0:
             continue
-        rows = evaluate_on_grid("MG", f, kernel, config, grid)
-        mg = np.array([r.value for r in rows])
+        mg = evaluate_on_grid("MG", f, kernel, config, grid).value
         if not np.all(np.isfinite(mg)):
             ratios[f.name] = math.inf
             continue
@@ -303,8 +302,7 @@ def convergence_experiment(
     table = ErrorTable(function_name=f.name, kernel_name=kernel.name)
     for w in sorted(w_list):
         rows = evaluate_on_grid("MG", f, kernel, replace(base, w=float(w)), grid)
-        errs = np.array([r.error_vs_f for r in rows])
-        werrs = np.array([r.weighted_error for r in rows])
+        errs, werrs = rows.error_vs_f, rows.weighted_error
         good = np.isfinite(errs)
         note = "" if good.all() else f"{int((~good).sum())} degenerate points skipped"
         table.rows.append(
@@ -373,7 +371,7 @@ def verify_quantitative_rate(
         w = float(w)
         omega = weighted_log_modulus(f, 1.0 / w, omega_grid, shift_points) * safety
         rows = evaluate_on_grid("MG", f, kernel, replace(config, w=w), grid)
-        lhs = np.array([r.error_vs_f for r in rows])
+        lhs = rows.error_vs_f
         rhs = 64.0 * (1.0 + vs * vs) * omega * (m0 + m5) / eta
         finite = np.isfinite(lhs)
         margin = np.where(finite, lhs - rhs * (1.0 + slack), np.inf)
@@ -388,7 +386,7 @@ def verify_quantitative_rate(
                 rhs=float(rhs[i]),
                 holds=holds,
                 slack=float(rhs[i] - lhs[i]),
-                witness=float(math.exp(vs[i])),
+                witness=float(rows.x[i]),
                 details={
                     "kernel": kernel.name,
                     "function": f.name,
@@ -471,7 +469,7 @@ def voronovskaja_check(
         config = SamplingConfig(w=w)
         omega = weighted_log_modulus(theta_r, 1.0 / w, omega_grid, shift_points) * safety
         rows = evaluate_on_grid("MG", f, kernel, config, x_grid)
-        mg = np.array([row.value for row in rows])
+        mg = rows.value
 
         first, chi, mask, _ = _band(kernel, config, vs)
         offs = (first[:, None] + np.arange(chi.shape[1])) - w * vs[:, None]  # k - w log x
@@ -510,7 +508,7 @@ def voronovskaja_check(
                 rhs=float(rhs[i]),
                 holds=holds,
                 slack=float(rhs[i] - left_pt[i]),
-                witness=float(math.exp(vs[i])),
+                witness=float(rows.x[i]),
                 details={
                     "kernel": kernel.name,
                     "function": f.name,

@@ -122,7 +122,9 @@ def _emit(config: RunConfig, text: str) -> None:
 
 
 def _json_payload(config: RunConfig, results) -> str:
-    return json.dumps({"config": config.to_dict(), "results": results}, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a non-finite float that reaches here raises ValueError (exit 2)."""
+    payload = {"config": config.to_dict(), "results": results}
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_payload(config: RunConfig, header: list, rows: list) -> str:
@@ -255,7 +257,7 @@ def _cmd_reconstruct(config: RunConfig) -> int:
     if config.fmt == "json":
         payload = [
             {
-                "x": r.x,
+                "x": _jsonable(r.x),
                 "log_x": r.log_x,
                 "value": _jsonable(r.value),
                 "error_vs_f": _jsonable(r.error_vs_f),

@@ -12,7 +12,8 @@ uniform grid on [0, 1) resolves it up to grid spacing.
 Kernels are immutable after construction and safe to share across threads;
 every scan is a pure function of its arguments with deterministic reductions,
 so the absolute-moment estimates and the algebraic-moment variations are
-memoised per (kernel object, order) in bounded caches.
+memoised per (kernel object, order) in bounded caches, divergent outcomes
+included.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ class Kernel:
     x-domain view chi(x).  `log_support_radius` is R with chi(e^t) = 0 for
     |t| > R (None for kernels without compact log-support), and `claimed_mu`
     is the largest absolute-moment order the kernel is claimed to possess
-    (math.inf when every order is finite).
+    (math.inf when every order is finite).  `zero_radius` is the offset
+    beyond which `log_profile` returns exactly 0.0 in floating point, for a
+    kernel without compact support whose values underflow (None otherwise);
+    only the operators' lattice band reads it, never the moment scans.
     """
 
     name: str
@@ -90,6 +94,7 @@ class Kernel:
     log_support_radius: Optional[float]
     claimed_mu: float
     description: str = ""
+    zero_radius: Optional[float] = None
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -187,7 +192,11 @@ def _fmt_param(v: float) -> str:
 
 
 def mellin_gaussian(shape: float) -> Kernel:
-    """Kernel x -> exp(-shape * log(x)^2); non-compact, all moments finite."""
+    """Kernel x -> exp(-shape * log(x)^2); non-compact, all moments finite.
+
+    exp(-s) is exactly 0.0 in floating point for s > 745.2 (the smallest
+    subnormal is about e^-744.4), so the zero radius is sqrt(745.2 / shape).
+    """
     if not shape > 0.0:
         raise ValueError(f"gaussian shape must be positive, got {shape!r}")
     shape = float(shape)
@@ -201,6 +210,7 @@ def mellin_gaussian(shape: float) -> Kernel:
         log_support_radius=None,
         claimed_mu=math.inf,
         description=f"log-domain Gaussian exp(-{shape:g} log^2 x)",
+        zero_radius=math.sqrt(745.2 / shape),
     )
 
 
@@ -239,11 +249,17 @@ def _frac_grid() -> np.ndarray:
     return np.arange(_U_POINTS, dtype=float) / _U_POINTS
 
 
+def _absolute_term(chi, t, nu: float):
+    """|chi| |t|^nu, where a zero kernel value gives a zero term, not 0 * inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(chi == 0.0, 0.0, np.abs(chi) * np.abs(t) ** nu)
+
+
 def _tail_probe(kernel: Kernel, nu: float, start: float, span: float = 16.0, points: int = 4096) -> float:
     """Estimate sup over |t| >= start of |chi(e^t)| |t|^nu by a dense boundary scan."""
     ts = np.linspace(start, start + span, points)
-    vals = np.abs(kernel.log_profile(ts)) * ts**nu
-    vals_neg = np.abs(kernel.log_profile(-ts)) * ts**nu
+    vals = _absolute_term(kernel.log_profile(ts), ts, nu)
+    vals_neg = _absolute_term(kernel.log_profile(-ts), ts, nu)
     return float(max(vals.max(), vals_neg.max()))
 
 
@@ -259,10 +275,10 @@ def _scan(kernel: Kernel, term, vs: np.ndarray, k0: int, what: str, order: float
 
     Returns (joins, h, settled).  A kernel vanishing beyond offset R takes h = ceil(R) + 1.  Otherwise the
     window widens by rings from h = 8 to 2048: the joins have settled when
-    none moves by more than 1e-12 max(1, peak), and they diverge when one is
-    not finite or the peak |join| grows by 1.5x on three doublings in a row.
-    Divergence raises DivergentMomentError, witnessed at the peak point.
-    Zero joins read +0.
+    none moves by more than 1e-12 max(1, peak), and they diverge when the
+    peak |join| grows by 1.5x on three doublings in a row.  A join that is
+    not finite diverges on either branch.  Divergence raises
+    DivergentMomentError, witnessed at the peak point.  Zero joins read +0.
     """
 
     def join(ks):
@@ -272,9 +288,22 @@ def _scan(kernel: Kernel, term, vs: np.ndarray, k0: int, what: str, order: float
             out = np.maximum(out, term(kernel.log_profile(t), t).max(axis=0))
         return out + 0.0
 
+    def diverge(joins, h):
+        i = int(np.argmax(np.abs(joins)))
+        raise DivergentMomentError(
+            f"{what} for kernel '{kernel.name}' diverges "
+            f"(peak join {float(np.max(np.abs(joins))):.6g} at half-width {h})",
+            witness_u=math.exp(float(vs[i])),
+            witness_k=_join_k(kernel, term, vs[i], k0, h),
+            order=order,
+        )
+
     if kernel.log_support_radius is not None:
         h = math.ceil(kernel.log_support_radius) + 1
-        return join(k0 + np.arange(-h, h + 1)), h, True
+        joins = join(k0 + np.arange(-h, h + 1))
+        if not np.all(np.isfinite(joins)):
+            diverge(joins, h)
+        return joins, h, True
     h, streak, prev_peak, moved = _FIRST_HALF_WIDTH, 0, math.inf, math.inf
     joins = join(k0 + np.arange(-h, h + 1))
     while True:
@@ -282,14 +311,7 @@ def _scan(kernel: Kernel, term, vs: np.ndarray, k0: int, what: str, order: float
         growth = peak / prev_peak if prev_peak > 0.0 else 1.0
         streak = streak + 1 if growth >= _DIVERGENCE_GROWTH else 0
         if streak >= _DIVERGENCE_STREAK or not np.all(np.isfinite(joins)):
-            i = int(np.argmax(np.abs(joins)))
-            raise DivergentMomentError(
-                f"{what} for kernel '{kernel.name}' diverges "
-                f"(peak join {peak:.6g} at half-width {h})",
-                witness_u=math.exp(float(vs[i])),
-                witness_k=_join_k(kernel, term, vs[i], k0, h),
-                order=order,
-            )
+            diverge(joins, h)
         if moved <= _SETTLE_TOL * max(1.0, peak):
             return joins, h, True
         if h >= _MAX_HALF_WIDTH:
@@ -300,25 +322,53 @@ def _scan(kernel: Kernel, term, vs: np.ndarray, k0: int, what: str, order: float
         prev_peak, joins, h = peak, widened, 2 * h
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _memoise_outcomes(scan):
+    """A bounded lru_cache over `scan` that caches a DivergentMomentError too.
+
+    A divergent outcome is kept as the error's fields, and each call raises a
+    fresh error from them.  `cache_clear` and `cache_info` are the cache's.
+    """
+
+    @functools.lru_cache(maxsize=_CACHE_SIZE)
+    def outcome(*args, **kwargs):
+        try:
+            return scan(*args, **kwargs), None
+        except DivergentMomentError as exc:
+            return None, (exc.args, exc.witness_u, exc.witness_k, exc.order)
+
+    @functools.wraps(scan)
+    def memoised(*args, **kwargs):
+        value, divergence = outcome(*args, **kwargs)
+        if divergence is not None:
+            message, u, k, order = divergence
+            raise DivergentMomentError(*message, witness_u=u, witness_k=k, order=order)
+        return value
+
+    memoised.cache_clear, memoised.cache_info = outcome.cache_clear, outcome.cache_info
+    return memoised
+
+
+@_memoise_outcomes
 def discrete_absolute_moment_estimate(kernel: Kernel, nu: float) -> MomentEstimate:
     """Scan the discrete absolute moment of order nu in the max-product sense.
 
     The scanned quantity is sup over u > 0 of the lattice join over k of
-    |chi(e^{-k} u)| |k - log u|^nu.  For compact kernels a window of
-    ceil(R) + 1 makes the estimate exact up to the u-grid spacing; otherwise
-    the window doubles until convergence, and the returned `tail_bound`
-    reports the scanned decay of the integrand beyond the final window.
+    |chi(e^{-k} u)| |k - log u|^nu, where a zero kernel value gives a zero
+    term.  For compact kernels a window of ceil(R) + 1 makes the estimate
+    exact up to the u-grid spacing; otherwise the window doubles until
+    convergence, and the returned `tail_bound` reports the scanned decay of
+    the integrand beyond the final window.
 
     Raises DivergentMomentError (with the witnessing u and k) when the
-    running estimate keeps growing under window doublings, and ValueError
-    unless 0 <= nu < inf.  Estimates are memoised per (kernel object, nu).
+    running estimate keeps growing under window doublings or a join is not
+    finite, and ValueError unless 0 <= nu < inf.  Outcomes, divergence
+    included, are memoised per (kernel object, nu).
     """
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"moment order must be finite and nonnegative, got {nu!r}")
 
     def term(chi, t):
-        return np.abs(chi) * np.abs(t) ** nu
+        return _absolute_term(chi, t, nu)
 
     vs = _frac_grid()
     joins, h, settled = _scan(kernel, term, vs, 0, f"absolute moment of order {nu:g}", nu)
@@ -370,10 +420,10 @@ def algebraic_moment_profile(
     return vs, _algebraic_scan(kernel, j, vs, 0, absolute)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@_memoise_outcomes
 def algebraic_moment_variation(kernel: Kernel, j: int, absolute: bool = False) -> tuple[float, float]:
-    """(min, max) of the order-j algebraic moment over the u-scan, memoised
-    per (kernel object, j, absolute)."""
+    """(min, max) of the order-j algebraic moment over the u-scan; outcomes,
+    divergence included, are memoised per (kernel object, j, absolute)."""
     _, vals = algebraic_moment_profile(kernel, j, absolute)
     return float(vals.min()), float(vals.max())
 

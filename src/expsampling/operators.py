@@ -10,8 +10,11 @@ lattice offset w log x - k.  Two domain modes exist:
   the evaluation point, approximating the bi-infinite lattice.
 
 The index set bounds which samples an operator may use; the work per point
-scales with the kernel's support.  Every operator reduces over one lattice
-band per point, masked by the index set: S, I and E by sums, MG by joins.
+scales with the kernel's support, or, for a kernel such as the Gaussian whose
+profile is exactly 0.0 beyond a zero radius, with that radius.  Every
+operator reduces over one lattice band per point, masked by the index set:
+S, I and E by sums, MG by joins.  Grid evaluation returns its results as
+columns, with the rows built only when a caller reads them.
 
 In window mode the truncated join/sum of a compactly supported kernel is
 exact; for the rest the diagnostics variants report a truncation tail bound.
@@ -23,6 +26,7 @@ evaluation is pure, so concurrent use is safe and results are deterministic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence, Union
@@ -41,6 +45,7 @@ __all__ = [
     "SamplingConfig",
     "ExpSamples",
     "GridPoint",
+    "GridResult",
     "OperatorDiagnostics",
     "index_set",
     "take_samples",
@@ -60,6 +65,7 @@ __all__ = [
 
 _DENOMINATOR_FLOOR = 1e-300
 _NONCOMPACT_HALF_WIDTH = 64
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows beyond it
 
 
 @dataclass(frozen=True)
@@ -180,9 +186,12 @@ def _band(kernel: Kernel, config: SamplingConfig, vs: np.ndarray):
 
     The row is floor(w vs[i]) - h ... floor(w vs[i]) + h + 1, h = ceil(R) + 1
     for a kernel vanishing beyond offset R: it ends in zero-kernel columns, so
-    a join over it sees a zero wherever the whole active set has one.  Other
-    kernels take the window, or all of J_w.  chi[i, j] = chi(e^{w vs[i] - k});
-    mask marks the active set at vs[i]; `active` spans all active sets.
+    a join over it sees a zero wherever the whole active set has one.  A
+    kernel's zero radius counts as R where that band is narrower and still
+    ends inside the active set: h + 1 <= the window half-width, or
+    2h + 2 < |J_w|.  Other kernels take the window, or all of J_w.
+    chi[i, j] = chi(e^{w vs[i] - k}); mask marks the active set at vs[i];
+    `active` spans all active sets.
     """
     c = config.w * vs[:, None]
     r = kernel.log_support_radius
@@ -191,6 +200,11 @@ def _band(kernel: Kernel, config: SamplingConfig, vs: np.ndarray):
     else:
         half = config.window_half_width or default_half_width(kernel, config.w)
         active = range(math.ceil(float(c.min()) - half), math.floor(float(c.max()) + half) + 1)
+    z = kernel.zero_radius
+    if r is None and z is not None:
+        h = math.ceil(z + 1)
+        if (h + 1 <= half) if half is not None else (2 * h + 2 < len(active)):
+            r = z
     if r is None and half is None:
         first, width = np.full(len(vs), active.start), len(active)
     else:
@@ -313,7 +327,7 @@ def _require_denominator(kernel: Kernel, config: SamplingConfig, vs: np.ndarray,
     """Raise DegenerateDenominatorError at the first point whose join `den` is not above the floor."""
     if not np.all(den > _DENOMINATOR_FLOOR):
         i = int(np.argmin(den > _DENOMINATOR_FLOOR))
-        x = float(math.exp(vs[i]))
+        x = _x_of(float(vs[i]))
         _, lo, hi = _window(kernel, config, float(vs[i]))
         raise DegenerateDenominatorError(
             f"max-product denominator {den[i]:.3g} at x={x:.6g}",
@@ -525,6 +539,47 @@ class GridPoint:
     note: str = ""
 
 
+@dataclass(frozen=True, eq=False)
+class GridResult(Sequence[GridPoint]):
+    """The columns of one grid evaluation, also a read-only sequence of its rows.
+
+    x, log_x, value, error_vs_f and weighted_error are read-only float arrays
+    and `notes` a tuple of strings, one entry per grid point.  Indexing (an int,
+    negative too) and iteration build `GridPoint` rows on demand.
+    """
+
+    x: np.ndarray
+    log_x: np.ndarray
+    value: np.ndarray
+    error_vs_f: np.ndarray
+    weighted_error: np.ndarray
+    notes: tuple[str, ...]
+
+    def _floats(self):
+        return self.x, self.log_x, self.value, self.error_vs_f, self.weighted_error
+
+    def __post_init__(self):
+        for column in self._floats():
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.notes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self.notes))[i]]
+        i = range(len(self.notes))[i]
+        return GridPoint(*(float(column[i]) for column in self._floats()), self.notes[i])
+
+    def __iter__(self):
+        return map(GridPoint, *(column.tolist() for column in self._floats()), self.notes)
+
+
+def _x_of(v: float) -> float:
+    """x = e^v by math.exp, or inf where that overflows (v > log of the largest float)."""
+    return math.inf if v > _LOG_FLOAT_MAX else math.exp(v)
+
+
 def _grid_values(operator: str, f: WeightedFunction, kernel, config: SamplingConfig, vs: np.ndarray, c=0.0):
     """Values and row notes of one operator applied to f at log-points vs.
 
@@ -563,24 +618,26 @@ def evaluate_on_grid(
     config: SamplingConfig,
     grid: Union[LogGrid, Sequence[float]],
     c: float = 0.0,
-) -> list[GridPoint]:
+) -> GridResult:
     """Apply one operator ("S", "I", "MG" or "E") to f across a grid.
 
     Per-point failures (degenerate denominators, non-finite values) are
-    recorded in the row note with NaN values rather than raised.  For "E" the
-    rate T is config.w and `c` is the damping exponent of the sinc kernel.
+    recorded in the row note with NaN values rather than raised.  The error
+    against f is NaN unless both the value and f are finite, and the weighted
+    error NaN unless the error is finite; x reads inf where e^{log x}
+    overflows.  For "E" the rate T is config.w and `c` is the damping exponent
+    of the sinc kernel.
     """
     if operator not in OPERATOR_TAGS:
         raise ValueError(f"unknown operator tag {operator!r}; expected one of {OPERATOR_TAGS}")
     vs = _as_log_values(grid)
     values, notes = _grid_values(operator, f, kernel, config, vs, c)
     fx = np.asarray(f.evaluate_log(vs), dtype=float)
-    rows = []
-    for i, v in enumerate(vs):
-        val = float(values[i])
-        err = abs(val - float(fx[i])) if math.isfinite(val) and math.isfinite(fx[i]) else math.nan
-        werr = err / (1.0 + v * v) if math.isfinite(err) else math.nan
-        if not math.isfinite(val) and not notes[i]:
-            notes[i] = "non-finite value"
-        rows.append(GridPoint(float(math.exp(v)), float(v), val, err, werr, notes[i]))
-    return rows
+    finite = np.isfinite(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = np.where(finite & np.isfinite(fx), np.abs(values - fx), np.nan)
+        werr = np.where(np.isfinite(err), err / (1.0 + vs * vs), np.nan)
+    for i in np.nonzero(~finite)[0]:
+        notes[i] = notes[i] or "non-finite value"
+    x = np.array([_x_of(v) for v in vs.tolist()])
+    return GridResult(x, vs, values, err, werr, tuple(notes))

@@ -2,10 +2,12 @@
 
 `dense_values` is the former grid evaluation kept as an oracle: every point
 sees every index of one shared span, with the active set as a mask.  Joins
-must agree exactly; sums only change their summation order.
+must agree exactly; sums only change their summation order.  `row_loop` is
+the former per-row assembly of `evaluate_on_grid`, the oracle of its columns.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +18,10 @@ import expsampling as es
 from expsampling import DegenerateDenominatorError, ExpSamples, LogGrid, SamplingConfig
 from expsampling.kernels import sinc
 from expsampling.operators import (
+    GridPoint,
+    _as_log_values,
+    _band,
+    _grid_values,
     default_half_width,
     evaluate_on_grid,
     index_set,
@@ -194,3 +200,114 @@ def test_degenerate_error_carries_the_whole_active_set():
     with pytest.raises(DegenerateDenominatorError) as err:
         max_product_series_on_grid(zero, samples, [math.exp(0.3)], window)
     assert err.value.index_set == list(range(-4, 6))  # |k - 0.6| <= 5
+
+
+def row_loop(operator, f, kernel, config, grid, c=0.0):
+    """The rows of `evaluate_on_grid`, built one by one with Python floats."""
+    vs = _as_log_values(grid)
+    values, notes = _grid_values(operator, f, kernel, config, vs, c)
+    fx = np.asarray(f.evaluate_log(vs), dtype=float)
+    rows = []
+    for i, v in enumerate(vs):
+        val = float(values[i])
+        err = abs(val - float(fx[i])) if math.isfinite(val) and math.isfinite(fx[i]) else math.nan
+        werr = err / (1.0 + v * v) if math.isfinite(err) else math.nan
+        if not math.isfinite(val) and not notes[i]:
+            notes[i] = "non-finite value"
+        try:
+            x = math.exp(v)
+        except OverflowError:
+            x = math.inf
+        rows.append(GridPoint(x, float(v), val, err, werr, notes[i]))
+    return rows
+
+
+def bit_equal(a, b):
+    """Equal bit for bit (so 0.0 and -0.0 differ), any NaN equal to any NaN."""
+    if isinstance(a, str):
+        return a == b
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def assert_rows_match(result, want):
+    n = len(want)
+    assert len(result) == n
+    for rows in (list(result), [result[i] for i in range(n)], [result[i - n] for i in range(n)]):
+        for got, ref in zip(rows, want):
+            assert type(got) is GridPoint
+            for field in ("x", "log_x", "value", "error_vs_f", "weighted_error", "note"):
+                assert bit_equal(getattr(got, field), getattr(ref, field)), (field, got, ref)
+    for column in ("x", "log_x", "value", "error_vs_f", "weighted_error"):
+        got = getattr(result, column)
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert all(bit_equal(float(g), getattr(r, column)) for g, r in zip(got, want)), column
+    assert result.notes == tuple(r.note for r in want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_columns_match_the_row_loop(case):
+    kernel, config, grid, f, c = case
+    for op in ("S", "I", "MG", "E"):
+        assert_rows_match(evaluate_on_grid(op, f, kernel, config, grid, c=c), row_loop(op, f, kernel, config, grid, c))
+
+
+ZERO_KERNEL = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, config, grid",
+    [
+        # degenerate denominators: a kernel that is zero everywhere
+        (ZERO_KERNEL, SamplingConfig(w=2.0), LogGrid(-1, 1, 9)),
+        # points far from J_w, and points whose x overflows
+        (es.get_kernel("bspline3"), SamplingConfig(w=8.0, interval=(1.0, math.e)), LogGrid(-3.0, 1.0, 17)),
+        (es.get_kernel("gauss1"), SamplingConfig(w=8.0), LogGrid(708.0, 712.0, 9)),
+    ],
+)
+def test_columns_match_the_row_loop_on_fixed_cases(kernel, config, grid):
+    for name in ("one", "log", "weight"):
+        f = es.get_function(name)
+        for op in ("S", "I", "MG", "E"):
+            assert_rows_match(evaluate_on_grid(op, f, kernel, config, grid), row_loop(op, f, kernel, config, grid))
+
+
+def mg_weight(grid):
+    return evaluate_on_grid("MG", es.get_function("weight"), es.get_kernel("bspline3"), SamplingConfig(w=8.0), grid)
+
+
+def test_rows_are_a_read_only_sequence():
+    rows = mg_weight(LogGrid(-1, 1, 5))
+    assert rows[-1] == rows[4] and rows[1:3] == [rows[1], rows[2]]
+    assert list(reversed(rows)) == list(rows)[::-1]
+    with pytest.raises(IndexError):
+        rows[5]
+    with pytest.raises(ValueError):
+        rows.value[0] = 0.0
+    with pytest.raises(AttributeError):
+        rows.value = np.zeros(5)
+
+
+def test_x_overflows_to_inf_and_keeps_log_x_and_value():
+    rows = mg_weight(LogGrid(709.0, 711.0, 3))
+    assert rows.x[0] == math.exp(709.0) and list(rows.x[1:]) == [math.inf, math.inf]
+    assert list(rows.log_x) == [709.0, 710.0, 711.0]
+    assert np.all(np.isfinite(rows.value)) and rows.notes == ("", "", "")
+    largest = math.log(np.finfo(float).max)  # the largest log x whose x is finite
+    rows = mg_weight(LogGrid(largest, math.nextafter(largest, math.inf), 2))
+    assert list(rows.x) == [math.exp(largest), math.inf] and math.isfinite(rows.x[0])
+
+
+@pytest.mark.parametrize(
+    "config, width",
+    [
+        (SamplingConfig(w=128.0), 60),  # h = ceil(27.3 + 1) = 29: 2h + 2 columns, not the window's 130
+        (SamplingConfig(w=128.0, window_half_width=3), 8),  # the window is narrower: unchanged
+        (SamplingConfig(w=8.0, interval=(1.0, math.e)), 9),  # |J_w| = 9 < 60: all of J_w, unchanged
+    ],
+)
+def test_gaussian_band_follows_its_zero_radius(config, width):
+    first, chi, mask, _ = _band(es.get_kernel("gauss1"), config, np.linspace(-0.25, 0.25, 7))
+    assert chi.shape == (7, width)
+    if width == 60:  # the band ends in zero-kernel columns inside the active set
+        assert np.all(chi[:, [0, -1]] == 0.0) and np.all(mask[:, [0, -1]])

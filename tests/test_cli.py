@@ -115,6 +115,9 @@ class TestNonFiniteInputs:
             ["kernel-check", "--kernel", "bspline3", "--mu", "inf", "--r", "0"],
             ["reconstruct", "--kernel", "bspline3", "--function", "weight", "--w", "inf",
              "--grid", "-1:1:5"],
+            # a NaN in the artifact would be invalid JSON
+            ["reconstruct", "--kernel", "bspline3", "--function", "weight", "--op", "E",
+             "--c", "nan", "--grid", "-1:1:5"],
         ],
     )
     def test_usage_error_and_no_artifact(self, args, tmp_path, capsys):
@@ -123,6 +126,50 @@ class TestNonFiniteInputs:
         assert code == 2
         assert err.startswith("error: ")
         assert not out_file.exists()
+
+
+def strict_json(text):
+    def reject(constant):
+        raise AssertionError(f"bare {constant} in JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestFarOutAndOverflow:
+    def test_reconstruct_reports_overflowing_x_as_inf(self, tmp_path, capsys):
+        args = ["reconstruct", "--kernel", "bspline3", "--function", "weight", "--w", "8",
+                "--grid", "709:711:3"]
+        assert run_cli(args + ["--output", str(tmp_path / "far.json")], capsys)[0] == 0
+        rows = strict_json((tmp_path / "far.json").read_text())["results"]
+        assert [r["x"] for r in rows] == [8.218407461554972e307, "inf", "inf"]
+        assert [r["log_x"] for r in rows] == [709.0, 710.0, 711.0]
+        assert all(isinstance(r["value"], float) and r["note"] == "" for r in rows)
+        assert run_cli(args + ["--format", "csv", "--output", str(tmp_path / "far.csv")], capsys)[0] == 0
+        lines = (tmp_path / "far.csv").read_text().splitlines()[2:]
+        assert [l.split(",")[:2] for l in lines] == [["8.2184074615549724e+307", "709"], ["inf", "710"], ["inf", "711"]]
+
+    def test_rate_far_out_on_the_half_line(self, tmp_path, capsys):
+        out_file = tmp_path / "rate.json"
+        code, out, _ = run_cli(
+            ["rate", "--kernel", "bspline3", "--function", "weight", "--w", "8",
+             "--grid", "705:712:5", "--output", str(out_file)],
+            capsys,
+        )
+        assert code == 0 and "[ok]" in out
+        strict_json(out_file.read_text())
+
+    def test_overflowing_moment_is_divergent_not_nan(self, tmp_path, capsys):
+        out_file = tmp_path / "m.json"
+        code, out, _ = run_cli(["moments", "--kernel", "bspline3", "--nu", "2000", "--output", str(out_file)], capsys)
+        assert code == 0 and "m_2000(bspline3) divergent" in out
+        [row] = strict_json(out_file.read_text())["results"]
+        assert row["divergent"] and row["value"] is None
+        code, out, _ = run_cli(
+            ["kernel-check", "--kernel", "bspline3", "--mu", "2000", "--r", "0", "--output", str(out_file)], capsys
+        )
+        assert code == 0 and "chi1=no" in out
+        results = strict_json(out_file.read_text())["results"]
+        assert "2000" not in results["absolute_moments"] and not results["chi1_holds"]
 
 
 class TestConverge:

@@ -92,6 +92,19 @@ class TestBuiltinKernels:
         g5 = es.mellin_gaussian(0.5)
         assert g5.evaluate(math.e**2) == pytest.approx(math.exp(-2.0), rel=1e-15)
 
+    @pytest.mark.parametrize("shape", [0.5, 0.75, 1.0, 1.5, 2.0])
+    def test_gaussian_zero_radius(self, shape):
+        g = es.mellin_gaussian(shape)
+        z = g.zero_radius
+        assert z == math.sqrt(745.2 / shape)
+        beyond = np.nextafter(z, math.inf) + np.linspace(0.0, 1e-3, 100_001)
+        assert np.all(g.log_profile(beyond) == 0.0) and np.all(g.log_profile(-beyond) == 0.0)
+        assert g.log_profile(math.sqrt(744.0 / shape)) > 0.0
+
+    def test_only_gaussians_have_a_zero_radius(self):
+        for name, kernel in es.KERNELS.items():
+            assert (kernel.zero_radius is not None) == name.startswith("gauss"), name
+
     def test_gaussian_validation(self):
         with pytest.raises(ValueError):
             es.mellin_gaussian(0.0)
@@ -162,6 +175,23 @@ class TestAbsoluteMoments:
         # sup of t^2 e^{-t^2} is attained at t=1
         assert est.value == pytest.approx(math.exp(-1.0), rel=1e-6)
         assert est.tail_bound < 1e-60
+
+    def test_overflowing_compact_join_is_divergent_not_nan(self):
+        b3 = es.get_kernel("bspline3")
+        # |t|^500 stays finite on the support: a finite join
+        assert es.discrete_absolute_moment(b3, 500.0) == pytest.approx(2.69407499314e82, rel=1e-11)
+        # |t|^2000 overflows where the kernel is nonzero, and 0 * inf is NaN where it is zero
+        with pytest.raises(DivergentMomentError) as err:
+            es.discrete_absolute_moment_estimate(b3, 2000.0)
+        assert err.value.order == 2000.0 and err.value.witness_u > 0.0
+        report = es.check_kernel_conditions(b3, 2000.0, 0)
+        assert not report.chi1_holds and 2000.0 not in report.absolute_moments
+        assert report.diagnostics["chi1"].startswith("m_2000 divergent")
+
+    def test_zero_kernel_values_give_zero_terms(self):
+        # beyond its zero radius gauss1 is exactly 0 while |t|^200 overflows
+        est = es.discrete_absolute_moment_estimate(es.get_kernel("gauss1"), 200.0)
+        assert math.isfinite(est.value) and est.tail_bound == 0.0
 
     def test_lin_kernel_divergence_witness(self):
         l0 = es.get_kernel("linc0")
@@ -315,15 +345,16 @@ ARRAY_FORMS = {
 }
 
 
-def _count_scans(monkeypatch):
-    """Empty both scan caches and record the kernel name of every `_scan` call."""
+def _count_scans(monkeypatch, what=False):
+    """Empty both scan caches and record the kernel name of every `_scan` call
+    (with what it scans, if `what`)."""
     from expsampling import kernels
 
     calls = []
     scan = kernels._scan
 
     def counting(kernel, *args):
-        calls.append(kernel.name)
+        calls.append((kernel.name, args[3]) if what else kernel.name)
         return scan(kernel, *args)
 
     monkeypatch.setattr(kernels, "_scan", counting)
@@ -376,3 +407,26 @@ class TestMemoisedScans:
         assert calls == ["memo_probe", "memo_probe"]
         assert es.discrete_absolute_moment(first, 1.0) == m_first
         assert len(calls) == 2
+
+    def test_divergent_outcomes_are_memoised(self, monkeypatch):
+        calls = _count_scans(monkeypatch)
+        l0 = es.get_kernel("linc0")
+        errors = []
+        for _ in range(3):
+            with pytest.raises(DivergentMomentError) as err:
+                es.discrete_absolute_moment_estimate(l0, 2.0)
+            errors.append(err.value)
+        assert calls == ["linc0"]
+        assert len({id(e) for e in errors}) == 3  # a fresh error each time
+        assert len({(str(e), e.witness_u, e.witness_k, e.order) for e in errors}) == 1
+        es.discrete_absolute_moment_estimate.cache_clear()
+        with pytest.raises(DivergentMomentError):
+            es.discrete_absolute_moment_estimate(l0, 2.0)
+        assert calls == ["linc0", "linc0"]
+
+    def test_nine_kernel_suite_makes_each_scan_once(self, monkeypatch):
+        calls = _count_scans(monkeypatch, what=True)
+        es.run_suite(tuple(f"bspline{n}" for n in range(1, 6)) + ("gauss1", "gauss05", "linc0", "linc1"))
+        # 60 before divergent outcomes were cached: linc0's m_2 ran 4 times,
+        # linc1's m_0 twice and its m_1 and m_2 three times each
+        assert len(calls) == len(set(calls)) == 52
