@@ -128,7 +128,7 @@ def _json_payload(config: RunConfig, results) -> str:
 
 
 def _csv_payload(config: RunConfig, header: list, rows: list) -> str:
-    lines = [f"# config: {json.dumps(config.to_dict(), sort_keys=True)}"]
+    lines = [f"# config: {json.dumps(config.to_dict(), sort_keys=True, allow_nan=False)}"]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_f17(v) for v in row))
@@ -136,7 +136,7 @@ def _csv_payload(config: RunConfig, header: list, rows: list) -> str:
 
 
 def _md_payload(config: RunConfig, body: str) -> str:
-    return f"<!-- config: {json.dumps(config.to_dict(), sort_keys=True)} -->\n\n{body}"
+    return f"<!-- config: {json.dumps(config.to_dict(), sort_keys=True, allow_nan=False)} -->\n\n{body}"
 
 
 def list_registries() -> str:
@@ -248,8 +248,7 @@ def _cmd_reconstruct(config: RunConfig) -> int:
     grid = _parse_grid(config.grid)
     w = config.w_list[0] if config.w_list else 8.0
     rows = evaluate_on_grid(config.op, f, kernel, _sampling_config(config, w), grid, c=config.c)
-    finite = [r for r in rows if math.isfinite(r.weighted_error)]
-    worst = max((r.weighted_error for r in finite), default=math.nan)
+    worst = max(filter(math.isfinite, rows.weighted_error.tolist()), default=math.nan)
     print(
         f"reconstruct {config.op} function={f.name} kernel={kernel.name} w={w:g}: "
         f"{len(rows)} points, max weighted error {worst:.6g}"

@@ -13,8 +13,11 @@ The index set bounds which samples an operator may use; the work per point
 scales with the kernel's support, or, for a kernel such as the Gaussian whose
 profile is exactly 0.0 beyond a zero radius, with that radius.  Every
 operator reduces over one lattice band per point, masked by the index set:
-S, I and E by sums, MG by joins.  Grid evaluation returns its results as
-columns, with the rows built only when a caller reads them.
+S, I and E by sums, MG by joins.  E's damped sinc takes one sine per point,
+from the exact reduction r = w log x - n, n = round(w log x); a point with
+|r| <= 1e-12 max(1, |w log x|) is the lattice node n.  Grid evaluation
+returns its results as columns, with the rows built when a caller first reads
+them.
 
 In window mode the truncated join/sum of a compactly supported kernel is
 exact; for the rest the diagnostics variants report a truncation tail bound.
@@ -181,7 +184,7 @@ def take_samples(f: WeightedFunction, config: SamplingConfig, center_log: float 
 # --------------------------------------------------------------------------
 
 
-def _band(kernel: Kernel, config: SamplingConfig, vs: np.ndarray):
+def _band(kernel: Kernel, config: SamplingConfig, vs: np.ndarray, damping=None):
     """(first, chi, mask, active): row i holds k = first[i] + j, j < width.
 
     The row is floor(w vs[i]) - h ... floor(w vs[i]) + h + 1, h = ceil(R) + 1
@@ -190,8 +193,8 @@ def _band(kernel: Kernel, config: SamplingConfig, vs: np.ndarray):
     kernel's zero radius counts as R where that band is narrower and still
     ends inside the active set: h + 1 <= the window half-width, or
     2h + 2 < |J_w|.  Other kernels take the window, or all of J_w.
-    chi[i, j] = chi(e^{w vs[i] - k}); mask marks the active set at vs[i];
-    `active` spans all active sets.
+    chi[i, j] = chi(e^{w vs[i] - k}), or E's damped sinc at `damping`; mask
+    marks the active set at vs[i]; `active` spans all active sets.
     """
     c = config.w * vs[:, None]
     r = kernel.log_support_radius
@@ -218,10 +221,30 @@ def _band(kernel: Kernel, config: SamplingConfig, vs: np.ndarray):
         mask = (cols >= active.start - first[:, None]) & (cols < active.stop - first[:, None])
     else:
         mask = np.abs(t) <= half
-    return first, kernel.log_profile(t), mask, active
+    chi = kernel.log_profile(t) if damping is None else _damped_sinc(c[:, 0], first, t, damping)
+    return first, chi, mask, active
 
 
-def _series(operator: str, kernel: Kernel, config: SamplingConfig, vs: np.ndarray, values_of):
+def _damped_sinc(c: np.ndarray, first: np.ndarray, t: np.ndarray, damping: float) -> np.ndarray:
+    """e^{-damping t} sin(pi t)/(pi t) on the rows t = c[i] - k, k = first[i] + j.
+
+    With n = round(c) and r = c - n, both exact, sin(pi t) = (-1)^(n-k) sin(pi r).
+    A row with |r| <= 1e-12 max(1, |c|) is on node n: 1 at k = n, where t = r, else 0.
+    """
+    n = np.round(c)
+    r = c - n
+    sign = 1.0 - 2.0 * ((n.astype(np.int64) - first) & 1)
+    alternate = 1.0 - 2.0 * (np.arange(t.shape[1]) & 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        chi = np.divide((sign * np.sin(np.pi * r))[:, None], np.pi * alternate * t)
+        u = -damping * t
+        chi *= np.exp(u, out=u)
+    on_node = np.abs(r) <= 1e-12 * np.maximum(1.0, np.abs(c))
+    chi[on_node] = t[on_node] == r[on_node, None]
+    return chi
+
+
+def _series(operator: str, kernel: Kernel, config: SamplingConfig, vs: np.ndarray, values_of, damping=None):
     """(values, den, unseen, first) of one operator over the band at vs.
 
     values_of(k0, k1) gives the samples (cell means for "I") at k0 <= k < k1,
@@ -230,18 +253,21 @@ def _series(operator: str, kernel: Kernel, config: SamplingConfig, vs: np.ndarra
     value for "E": sinc zeros do not mask them); they reduce as 0.  MG returns
     its numerator and denominator joins.
     """
-    first, chi, mask, active = _band(kernel, config, vs)
+    first, chi, mask, active = _band(kernel, config, vs, damping)
     lo, hi, width = int(first.min()), int(first.max()), chi.shape[1]
     span = np.zeros(hi - lo + width)
     k0, k1 = max(lo, active.start), min(hi + width, active.stop)
     span[k0 - lo : k1 - lo] = values_of(k0, k1)
-    fv = span[(first - lo)[:, None] + np.arange(width)] if hi > lo else span[None, :]
+    windows = np.ndarray((hi - lo + 1, width), float, span, 0, span.strides * 2)  # row i: span[i : i + width]
+    fv = windows[first - lo] if hi > lo else span[None, :]
     bad = ~np.isfinite(fv)
     unseen = mask & bad & ((chi != 0.0) | (operator == "E")) if bad.any() else np.zeros_like(mask)
     fv[bad] = 0.0
     if operator == "MG":
         return _join(chi * fv, mask), _join(chi, mask), unseen, first
-    return np.where(mask, chi * fv, 0.0).sum(axis=1), None, unseen, first
+    terms = chi * fv
+    terms[~mask] = 0.0
+    return terms.sum(axis=1), None, unseen, first
 
 
 def _join(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -277,13 +303,6 @@ def _cell_means(f: WeightedFunction, ks: np.ndarray, w: float, points: int, stri
         raise EvaluationError(f"quadrature non-finite on cell k={k}", where=k)
     with np.errstate(invalid="ignore"):
         return fvals @ weights / 2.0
-
-
-@lru_cache(maxsize=32)
-def _classical_kernel(damping: float) -> Kernel:
-    """lin_kernel(damping) on offsets snapped to nearby integers, where sinc is exactly 0."""
-    lin = lin_kernel(damping)
-    return replace(lin, log_profile=lambda t: lin.log_profile(_snap_to_integers(t)))
 
 
 def _window(kernel: Optional[Kernel], config: SamplingConfig, v: float):
@@ -388,7 +407,9 @@ def classical_exponential_formula(
     Signals whose log-frequency content is band-limited to [-T, T] are
     reproduced by the untruncated series; at lattice points e^{m/T} the sum
     reduces to the single sample f(e^{m/T}) because the sinc factor vanishes
-    at every other index.
+    at every other index.  x is the lattice point e^{m/T}, m = round(T log x),
+    when |T log x - m| <= 1e-12 max(1, |T log x|).  A non-finite c raises
+    ConfigurationError.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
@@ -527,7 +548,7 @@ _NONFINITE_NOTES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridPoint:
     """One grid evaluation row: value, error against f, and weighted error."""
 
@@ -544,8 +565,9 @@ class GridResult(Sequence[GridPoint]):
     """The columns of one grid evaluation, also a read-only sequence of its rows.
 
     x, log_x, value, error_vs_f and weighted_error are read-only float arrays
-    and `notes` a tuple of strings, one entry per grid point.  Indexing (an int,
-    negative too) and iteration build `GridPoint` rows on demand.
+    and `notes` a tuple of strings, one entry per grid point.  The first read
+    by index (an int, negative too, or a slice) or iteration builds all
+    `GridPoint` rows, and the result keeps them.
     """
 
     x: np.ndarray
@@ -566,13 +588,18 @@ class GridResult(Sequence[GridPoint]):
         return len(self.notes)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self.notes))[i]]
-        i = range(len(self.notes))[i]
-        return GridPoint(*(float(column[i]) for column in self._floats()), self.notes[i])
+        return self._rows[i]
 
     def __iter__(self):
-        return map(GridPoint, *(column.tolist() for column in self._floats()), self.notes)
+        return iter(self._rows)
+
+    @cached_property
+    def _rows(self) -> list:
+        # filled slot by slot in C loops, not by the frozen __init__'s six object.__setattr__ calls per row
+        rows = list(map(object.__new__, [GridPoint] * len(self)))
+        for name, column in zip(GridPoint.__match_args__, [*(c.tolist() for c in self._floats()), self.notes]):
+            list(map(getattr(GridPoint, name).__set__, rows, column))
+        return rows
 
 
 def _x_of(v: float) -> float:
@@ -586,8 +613,11 @@ def _grid_values(operator: str, f: WeightedFunction, kernel, config: SamplingCon
     Rows with unseen non-finite samples, and non-finite "I" and "E" rows, are
     NaN with a note.  "E" takes the damped sinc kernel at rate T = config.w.
     """
+    if not math.isfinite(c):
+        raise ConfigurationError(f"damping exponent c must be finite, got {c!r}")
+    damping = None
     if operator == "E":
-        kernel = _classical_kernel(c / config.w)
+        kernel, damping = lin_kernel(c / config.w), c / config.w
         config = config if config.interval is None else replace(config, interval=None)
     w, points = config.w, config.quadrature_points
 
@@ -595,7 +625,7 @@ def _grid_values(operator: str, f: WeightedFunction, kernel, config: SamplingCon
         k = np.arange(k0, k1)
         return _cell_means(f, k, w, points, strict=False) if operator == "I" else f.evaluate_log(k / w)
 
-    values, den, unseen, _ = _series(operator, kernel, config, vs, values_of)
+    values, den, unseen, _ = _series(operator, kernel, config, vs, values_of, damping)
     notes = [""] * len(vs)
     if den is not None:
         ok = den > _DENOMINATOR_FLOOR
@@ -626,7 +656,7 @@ def evaluate_on_grid(
     against f is NaN unless both the value and f are finite, and the weighted
     error NaN unless the error is finite; x reads inf where e^{log x}
     overflows.  For "E" the rate T is config.w and `c` is the damping exponent
-    of the sinc kernel.
+    of the sinc kernel; a non-finite c raises ConfigurationError.
     """
     if operator not in OPERATOR_TAGS:
         raise ValueError(f"unknown operator tag {operator!r}; expected one of {OPERATOR_TAGS}")

@@ -6,6 +6,7 @@ must agree exactly; sums only change their summation order.  `row_loop` is
 the former per-row assembly of `evaluate_on_grid`, the oracle of its columns.
 """
 
+import dataclasses
 import math
 import struct
 
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 import expsampling as es
 from expsampling import DegenerateDenominatorError, ExpSamples, LogGrid, SamplingConfig
-from expsampling.kernels import sinc
 from expsampling.operators import (
     GridPoint,
     _as_log_values,
@@ -47,12 +47,20 @@ def dense_lattice(kernel, config, vs):
 
 
 def dense_classical(f, c, T, vs, window):
+    """Terms of E on the dense lattice.
+
+    sin(pi s) at s = T v - k comes from the exact reduction of T v: with
+    n = round(T v) and r = T v - n, it is (-1)^(n-k) sin(pi r).  A point with
+    |r| <= 1e-12 max(1, |T v|) is the lattice node n.
+    """
     ks = np.arange(math.ceil(T * float(np.min(vs)) - window), math.floor(T * float(np.max(vs)) + window) + 1)
-    s = T * vs[:, None] - ks[None, :]
-    n = np.round(s)
-    s = np.where(np.abs(s - n) <= 1e-12 * np.maximum(1.0, np.abs(s)), n, s)
-    sc = sinc(s)
-    lin = np.exp(-(c / T) * np.where(sc == 0.0, 0.0, s)) * sc
+    tv = T * vs[:, None]
+    n = np.round(tv)
+    r = tv - n
+    s = tv - ks[None, :]
+    sine = np.where((n - ks[None, :]) % 2 == 0, 1.0, -1.0) * np.sin(np.pi * r)
+    lin = np.exp(-(c / T) * s) * sine / (np.pi * s)
+    lin = np.where(np.abs(r) <= 1e-12 * np.maximum(1.0, np.abs(tv)), 1.0 * (ks[None, :] == n), lin)
     mask = np.abs(ks[None, :] - T * vs[:, None]) <= window
     fv = np.asarray(f.evaluate_log(ks / T), dtype=float)
     return np.where(mask, lin * fv[None, :], 0.0)
@@ -286,6 +294,21 @@ def test_rows_are_a_read_only_sequence():
         rows.value[0] = 0.0
     with pytest.raises(AttributeError):
         rows.value = np.zeros(5)
+
+
+def test_rows_are_grid_points_kept_after_the_first_read():
+    rows = mg_weight(LogGrid(-1, 1, 5))
+    last = rows[-1]
+    kept = list(rows)
+    assert kept[-1] is last and all(a is b for a, b in zip(rows, kept))
+    for row in kept:
+        built = GridPoint(row.x, row.log_x, row.value, row.error_vs_f, row.weighted_error, row.note)
+        assert type(row) is GridPoint and dataclasses.astuple(row) == dataclasses.astuple(built)
+        assert row == built and hash(row) == hash(built) and repr(row) == repr(built)
+    moved = dataclasses.replace(last, value=2.0)
+    assert type(moved) is GridPoint and (moved.value, moved.x) == (2.0, last.x)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        last.value = 1.0
 
 
 def test_x_overflows_to_inf_and_keeps_log_x_and_value():

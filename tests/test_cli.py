@@ -1,11 +1,12 @@
 """End-to-end command-line behaviour: artifacts, determinism, exit codes."""
 
 import json
+import math
 import os
 
 import pytest
 
-from expsampling.cli import list_registries, main
+from expsampling.cli import RunConfig, _csv_payload, _md_payload, list_registries, main
 
 
 def run_cli(args, capsys):
@@ -126,6 +127,43 @@ class TestNonFiniteInputs:
         assert code == 2
         assert err.startswith("error: ")
         assert not out_file.exists()
+
+
+class TestNonFiniteDamping:
+    """A non-finite --c stops reconstruct before any output, in every format."""
+
+    @staticmethod
+    def reconstruct(fmt, capsys, c="nan"):
+        args = ["reconstruct", "--kernel", "bspline3", "--function", "weight", "--op", "E",
+                "--c", c, "--grid", "-1:1:5", "--format", fmt]
+        return run_cli(args, capsys)
+
+    @staticmethod
+    def assert_usage_error(result, c="nan"):
+        code, out, err = result
+        assert (code, out) == (2, "")
+        assert err == f"error: damping exponent c must be finite, got {c}\n"
+
+    def test_csv_rejects_nan_c(self, capsys):
+        # formerly exit 0, with "c": NaN in the config line and nan rows
+        self.assert_usage_error(self.reconstruct("csv", capsys))
+
+    def test_json_rejects_nan_c_with_one_error_line(self, capsys):
+        # formerly exit 2 after the summary line, with json's own message
+        self.assert_usage_error(self.reconstruct("json", capsys))
+
+    def test_md_rejects_nan_c(self, capsys):
+        self.assert_usage_error(self.reconstruct("md", capsys))
+
+    def test_csv_rejects_infinite_c(self, capsys):
+        self.assert_usage_error(self.reconstruct("csv", capsys, "-inf"), "-inf")
+
+    def test_config_lines_are_strict_json(self):
+        config = RunConfig(command="rate", mu=math.nan)
+        with pytest.raises(ValueError):
+            _csv_payload(config, ["a"], [])
+        with pytest.raises(ValueError):
+            _md_payload(config, "")
 
 
 def strict_json(text):
