@@ -44,8 +44,6 @@ from .spaces import (
     mellin_derivative_fd,
     mellin_derivative_function,
     mellin_taylor_remainder,
-    modulus_rows,
-    norm_row,
     psi,
     register_function,
     weight,
@@ -59,17 +57,13 @@ from .operators import (
     GridResult,
     SamplingConfig,
     classical_exponential_formula,
-    classical_exponential_formula_with_diagnostics,
     default_half_width,
     evaluate_on_grid,
     generalized_series,
-    generalized_series_with_diagnostics,
     index_set,
     kantorovich_series,
-    kantorovich_series_with_diagnostics,
     max_product_series,
     max_product_series_on_grid,
-    max_product_series_with_diagnostics,
     take_samples,
 )
 from .analysis import (

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 at least one hypothesis-met check violated,
 2 usage error, 3 hypotheses of the requested experiment not met.
-Identical invocations (including --seed) produce byte-identical artifacts;
-every output embeds the fully resolved run configuration.
+Identical invocations produce byte-identical artifacts; every output embeds
+the fully resolved run configuration.  Each subcommand accepts only the flags
+and formats it uses; any other is a usage error.
 """
 
 from __future__ import annotations
@@ -246,6 +247,8 @@ def _cmd_reconstruct(config: RunConfig) -> int:
     kernel = get_kernel(config.kernel)
     f = get_function(config.function)
     grid = _parse_grid(config.grid)
+    if len(config.w_list) > 1:
+        raise ConfigurationError(f"reconstruct takes one sampling rate, got {len(config.w_list)}")
     w = config.w_list[0] if config.w_list else 8.0
     rows = evaluate_on_grid(config.op, f, kernel, _sampling_config(config, w), grid, c=config.c)
     worst = max(filter(math.isfinite, rows.weighted_error.tolist()), default=math.nan)
@@ -389,46 +392,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kernel=True, function=False, w=False, grid=False):
-        if kernel:
-            p.add_argument("--kernel", required=True, help="kernel registry name")
-        if function:
+    def common(p, formats, series=False, domain=False):
+        p.add_argument("--kernel", required=True, help="kernel registry name")
+        if series:
             p.add_argument("--function", required=True, help="function registry name")
-        if w:
-            p.add_argument("--w", default=None, help="comma-separated sampling rates")
-        if grid:
+            p.add_argument("--w", default=None, help="comma-separated sampling rates (reconstruct: one)")
             p.add_argument("--grid", default=None, help="log-grid spec logmin:logmax:points")
-        p.add_argument("--interval", default=None, help="compact domain a,b (interval mode)")
-        p.add_argument("--window", type=int, default=None, help="truncation half-width (window mode)")
+        if domain:
+            p.add_argument("--interval", default=None, help="compact domain a,b (interval mode)")
+            p.add_argument("--window", type=int, default=None, help="truncation half-width (window mode)")
         p.add_argument("--output", default=None, help="artifact path (default: stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json", "md"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", dest="fmt", choices=formats, default="json")
 
     sub.add_parser("list", help="list kernel and function registries")
 
     p = sub.add_parser("kernel-check", help="run the kernel condition checks")
-    common(p)
+    common(p, ("json",))
     p.add_argument("--mu", type=float, default=2.0, help="absolute-moment order for chi1")
     p.add_argument("--r", type=int, default=1, help="highest algebraic-moment order for chi3")
 
     p = sub.add_parser("moments", help="scan discrete absolute moments")
-    common(p)
+    common(p, ("csv", "json"))
     p.add_argument("--nu", default="0,1,2", help="comma-separated moment orders")
 
     p = sub.add_parser("reconstruct", help="evaluate one operator over a grid")
-    common(p, function=True, w=True, grid=True)
+    common(p, ("csv", "json"), series=True, domain=True)
     p.add_argument("--op", choices=OPERATOR_TAGS, default="S")
     p.add_argument("--c", type=float, default=0.0, help="damping exponent for the classical series")
     p.add_argument("--quad-points", dest="quadrature_points", type=int, default=8)
 
     p = sub.add_parser("converge", help="error decay of the max-product operator")
-    common(p, function=True, w=True, grid=True)
+    common(p, ("csv", "json"), series=True, domain=True)
 
     p = sub.add_parser("rate", help="modulus-of-continuity rate bound")
-    common(p, function=True, w=True, grid=True)
+    common(p, ("csv", "json", "md"), series=True)
 
     p = sub.add_parser("voronovskaja", help="asymptotic expansion check")
-    common(p, function=True, w=True, grid=True)
+    common(p, ("csv", "json", "md"), series=True)
     p.add_argument("--r", type=int, default=1, help="expansion order")
     p.add_argument(
         "--allow-varying-moments",

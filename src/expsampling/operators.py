@@ -20,7 +20,7 @@ returns its results as columns, with the rows built when a caller first reads
 them.
 
 In window mode the truncated join/sum of a compactly supported kernel is
-exact; for the rest the diagnostics variants report a truncation tail bound.
+exact; for the rest it omits the kernel's tail beyond the window.
 
 Configurations and sample sets are immutable after construction; operator
 evaluation is pure, so concurrent use is safe and results are deterministic.
@@ -41,7 +41,7 @@ from .errors import (
     DegenerateDenominatorError,
     EvaluationError,
 )
-from .kernels import Kernel, eta_lower_bound, lin_kernel
+from .kernels import Kernel, lin_kernel
 from .spaces import LogGrid, WeightedFunction
 
 __all__ = [
@@ -49,19 +49,14 @@ __all__ = [
     "ExpSamples",
     "GridPoint",
     "GridResult",
-    "OperatorDiagnostics",
     "index_set",
     "take_samples",
     "default_half_width",
     "max_product_series",
     "max_product_series_on_grid",
-    "max_product_series_with_diagnostics",
     "generalized_series",
-    "generalized_series_with_diagnostics",
     "kantorovich_series",
-    "kantorovich_series_with_diagnostics",
     "classical_exponential_formula",
-    "classical_exponential_formula_with_diagnostics",
     "evaluate_on_grid",
     "OPERATOR_TAGS",
 ]
@@ -290,17 +285,14 @@ def _gauss_rule(points: int):
     return nodes, weights
 
 
-def _cell_means(f: WeightedFunction, ks: np.ndarray, w: float, points: int, strict: bool = True):
+def _cell_means(f: WeightedFunction, ks: np.ndarray, w: float, points: int):
     """w * integral of f(e^u) over [k/w, (k+1)/w] per k, by Gauss-Legendre.
 
-    A cell where f is not finite raises, or gets a non-finite mean if not `strict`.
+    A cell where f is not finite gets a non-finite mean.
     """
     nodes, weights = _gauss_rule(points)
     us = (ks[:, None] + (nodes[None, :] + 1.0) / 2.0) / w
     fvals = np.asarray(f.evaluate_log(us), dtype=float)
-    if strict and not np.all(np.isfinite(fvals)):
-        k = int(ks[np.nonzero(~np.isfinite(fvals).all(axis=1))[0][0]])
-        raise EvaluationError(f"quadrature non-finite on cell k={k}", where=k)
     with np.errstate(invalid="ignore"):
         return fvals @ weights / 2.0
 
@@ -423,121 +415,6 @@ def classical_exponential_formula(
 
 
 # --------------------------------------------------------------------------
-# truncation diagnostics
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OperatorDiagnostics:
-    """Truncation bookkeeping for one operator evaluation."""
-
-    mode: str
-    half_width: Optional[int]
-    index_min: int
-    index_max: int
-    tail_bound: float
-    note: str = ""
-
-
-def _with_diagnostics(kernel, config, x, value, f_bound, fallback, den=None, cells=False):
-    """`value` at x with the tail the ring (half, 2 half] beyond the window adds.
-
-    |f| on the ring is capped by f_bound times the reciprocal weight (over the
-    whole cell when `cells`), else by fallback(window indices).  Sums add
-    |chi| caps over the ring; the max-product ratio with denominator join
-    `den` moves by at most the ring's joins over den.
-    """
-    if config.interval is not None:
-        j = index_set(config)
-        return value, OperatorDiagnostics("interval", None, j.start, j.stop - 1, 0.0)
-    half, lo, hi = _window(kernel, config, math.log(x))
-    c = config.w * math.log(x)
-    ring = np.concatenate(
-        [np.arange(math.ceil(c - 2 * half), lo), np.arange(hi + 1, math.floor(c + 2 * half) + 1)]
-    )
-    rchi = np.abs(kernel.log_profile(c - ring))
-    if f_bound is None:
-        caps = np.full(len(ring), fallback(np.arange(lo, hi + 1)))
-    else:
-        edge = (np.maximum(np.abs(ring), np.abs(ring + 1)) if cells else ring) / config.w
-        caps = f_bound * (1.0 + edge * edge)
-    note = ""
-    if den is None:
-        tail = float(np.sum(rchi * caps))
-    else:
-        tail = (float(np.max(rchi * caps, initial=0.0)) + abs(value) * float(np.max(rchi, initial=0.0))) / den
-        if eta_lower_bound(kernel) <= 0.0:
-            note = "kernel infimum over [1,e] is not positive; convergence guarantees do not apply"
-    return value, OperatorDiagnostics("window", half, lo, hi, tail, note)
-
-
-def max_product_series_with_diagnostics(
-    kernel: Kernel,
-    samples: ExpSamples,
-    x: float,
-    config: SamplingConfig,
-    f_bound: Optional[float] = None,
-) -> tuple[float, OperatorDiagnostics]:
-    """Max-product value plus a truncation tail bound for window mode.
-
-    `f_bound` is a weighted-boundedness certificate M for the sampled
-    function; without it the bound falls back to the largest sampled |f|.
-    """
-    num, den = _from_samples("MG", kernel, samples, _as_log_values([x]), config)
-    value, largest = float(num[0] / den[0]), float(np.max(np.abs(samples.value_array)))
-    return _with_diagnostics(kernel, config, x, value, f_bound, lambda _: largest, float(den[0]))
-
-
-def generalized_series_with_diagnostics(
-    kernel: Kernel,
-    samples: ExpSamples,
-    x: float,
-    config: SamplingConfig,
-    f_bound: Optional[float] = None,
-) -> tuple[float, OperatorDiagnostics]:
-    """Truncated sum plus a tail bound from the kernel decay beyond the window."""
-    value = generalized_series(kernel, samples, x, config)
-    largest = float(np.max(np.abs(samples.value_array)))
-    return _with_diagnostics(kernel, config, x, value, f_bound, lambda _: largest)
-
-
-def kantorovich_series_with_diagnostics(
-    kernel: Kernel,
-    f: WeightedFunction,
-    x: float,
-    config: SamplingConfig,
-    f_bound: Optional[float] = None,
-) -> tuple[float, OperatorDiagnostics]:
-    """Kantorovich value plus a window-mode truncation tail bound.
-
-    Cell means of a weighted-bounded f are capped by M * max of the
-    reciprocal weight over the cell; without a certificate the cap falls back
-    to the largest in-window cell mean.
-    """
-    value = kantorovich_series(kernel, f, x, config)
-
-    def largest_mean(window):
-        return float(np.max(np.abs(_cell_means(f, window, config.w, config.quadrature_points))))
-
-    return _with_diagnostics(kernel, config, x, value, f_bound, largest_mean, cells=True)
-
-
-def classical_exponential_formula_with_diagnostics(
-    f: WeightedFunction, c: float, T: float, x: float, window: int
-) -> tuple[float, OperatorDiagnostics]:
-    """Classical series value plus the doubling residual as a tail indicator.
-
-    The sinc tails decay like 1/|k|, so convergence of the truncated series is
-    conditional and slow; the reported tail is |value(2*window) - value(window)|.
-    """
-    value = classical_exponential_formula(f, c, T, x, window)
-    wide = classical_exponential_formula(f, c, T, x, 2 * window)
-    _, lo, hi = _window(None, SamplingConfig(w=T, window_half_width=window), math.log(x))
-    note = "doubling residual; conditional convergence"
-    return value, OperatorDiagnostics("window", window, lo, hi, abs(wide - value), note)
-
-
-# --------------------------------------------------------------------------
 # grid evaluation
 # --------------------------------------------------------------------------
 
@@ -623,7 +500,7 @@ def _grid_values(operator: str, f: WeightedFunction, kernel, config: SamplingCon
 
     def values_of(k0, k1):
         k = np.arange(k0, k1)
-        return _cell_means(f, k, w, points, strict=False) if operator == "I" else f.evaluate_log(k / w)
+        return _cell_means(f, k, w, points) if operator == "I" else f.evaluate_log(k / w)
 
     values, den, unseen, _ = _series(operator, kernel, config, vs, values_of, damping)
     notes = [""] * len(vs)

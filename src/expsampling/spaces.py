@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,8 +24,6 @@ __all__ = [
     "WeightedFunction",
     "weighted_norm",
     "weighted_log_modulus",
-    "modulus_rows",
-    "norm_row",
     "weighted_log_modulus_estimate",
     "OmegaEstimate",
     "mellin_derivative",
@@ -182,29 +180,6 @@ def weighted_log_modulus(
     shift_points: int = 129,
 ) -> float:
     return weighted_log_modulus_estimate(f, delta, grid, shift_points).value
-
-
-def modulus_rows(
-    f: WeightedFunction,
-    deltas: Sequence[float],
-    grid: LogGrid = DEFAULT_OMEGA_GRID,
-    shift_points: int = 129,
-) -> list:
-    """JSON/CSV-ready rows (name, delta, grid, estimate) for a delta sweep."""
-    return [
-        {
-            "name": f.name,
-            "delta": float(d),
-            "grid": grid.spec(),
-            "estimate": weighted_log_modulus(f, d, grid, shift_points),
-        }
-        for d in deltas
-    ]
-
-
-def norm_row(f: WeightedFunction, grid: LogGrid) -> dict:
-    """JSON/CSV-ready row for a weighted-norm estimate."""
-    return {"name": f.name, "grid": grid.spec(), "estimate": weighted_norm(f, grid)}
 
 
 # --------------------------------------------------------------------------

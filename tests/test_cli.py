@@ -106,6 +106,53 @@ class TestReconstruct:
         assert code == 2
         assert "grid" in err
 
+    def test_more_than_one_rate_is_a_usage_error(self, tmp_path, capsys):
+        # formerly the first rate was used, and the artifact recorded both
+        out_file = tmp_path / "rec.json"
+        code, out, err = run_cli(
+            ["reconstruct", "--function", "weight", "--kernel", "bspline3", "--w", "8,16",
+             "--grid", "-1:1:5", "--output", str(out_file)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: reconstruct takes one sampling rate, got 2\n"
+        assert not out_file.exists()
+
+
+def assert_parser_rejects(args, out_file, capsys):
+    """argparse exits 2 with its usage message, before any output."""
+    with pytest.raises(SystemExit) as exit_:
+        main(args + ["--output", str(out_file)])
+    out = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert out.out == "" and "usage:" in out.err
+    assert not out_file.exists()
+
+
+class TestParserContract:
+    """Each subcommand accepts only the flags and formats its handler uses."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # flags the command does not read
+            ["rate", "--kernel", "bspline3", "--function", "weight", "--w", "8",
+             "--grid", "-1:1:33", "--window", "3"],
+            ["voronovskaja", "--kernel", "bspline3", "--function", "damped_log2", "--w", "8",
+             "--grid", "-1:1:33", "--allow-varying-moments", "--interval", "0.5,2"],
+            ["moments", "--kernel", "bspline3", "--seed", "1"],
+            ["reconstruct", "--kernel", "bspline3", "--function", "weight", "--grid", "-1:1:5",
+             "--seed", "1"],
+            # formats the command does not write
+            ["kernel-check", "--kernel", "bspline3", "--format", "csv"],
+            ["moments", "--kernel", "bspline3", "--format", "md"],
+            ["converge", "--kernel", "bspline3", "--function", "weight", "--w", "4,8",
+             "--grid", "-1:1:33", "--format", "md"],
+        ],
+    )
+    def test_dropped_choice_is_a_usage_error(self, args, tmp_path, capsys):
+        assert_parser_rejects(args, tmp_path / "out", capsys)
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
@@ -130,7 +177,7 @@ class TestNonFiniteInputs:
 
 
 class TestNonFiniteDamping:
-    """A non-finite --c stops reconstruct before any output, in every format."""
+    """A non-finite --c stops reconstruct before any output, in each of its formats."""
 
     @staticmethod
     def reconstruct(fmt, capsys, c="nan"):
@@ -152,8 +199,12 @@ class TestNonFiniteDamping:
         # formerly exit 2 after the summary line, with json's own message
         self.assert_usage_error(self.reconstruct("json", capsys))
 
-    def test_md_rejects_nan_c(self, capsys):
-        self.assert_usage_error(self.reconstruct("md", capsys))
+    def test_md_rejects_nan_c(self, tmp_path, capsys):
+        # reconstruct has no md format: it formerly wrote CSV for md at a finite c
+        for c in ("nan", "0"):
+            args = ["reconstruct", "--kernel", "bspline3", "--function", "weight", "--op", "E",
+                    "--c", c, "--grid", "-1:1:5", "--format", "md"]
+            assert_parser_rejects(args, tmp_path / "rec.md", capsys)
 
     def test_csv_rejects_infinite_c(self, capsys):
         self.assert_usage_error(self.reconstruct("csv", capsys, "-inf"), "-inf")

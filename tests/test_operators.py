@@ -17,16 +17,13 @@ from expsampling import (
 )
 from expsampling.operators import (
     classical_exponential_formula,
-    classical_exponential_formula_with_diagnostics,
     default_half_width,
     evaluate_on_grid,
     generalized_series,
-    generalized_series_with_diagnostics,
     index_set,
     kantorovich_series,
     max_product_series,
     max_product_series_on_grid,
-    max_product_series_with_diagnostics,
     take_samples,
 )
 
@@ -194,14 +191,6 @@ class TestMaxProduct:
             # pointwise entry goes through an exp/log round trip of x
             assert v == pytest.approx(max_product_series(b3, s, float(x), cfg), rel=1e-12)
 
-    def test_diagnostics_flag_eta_zero_kernel(self):
-        l0 = es.get_kernel("linc0")
-        w = 2.0
-        cfg = SamplingConfig(w=w, window_half_width=16)
-        s = take_samples(es.get_function("one"), cfg, center_log=0.25)
-        _, diag = max_product_series_with_diagnostics(l0, s, math.exp(0.25), cfg)
-        assert "convergence guarantees do not apply" in diag.note
-
 
 class TestGeneralizedSeries:
     def test_partition_reproduces_constants(self):
@@ -241,51 +230,18 @@ class TestGeneralizedSeries:
             s = take_samples(logf, cfg, center_log=v)
             assert generalized_series(b2, s, math.exp(v), cfg) == pytest.approx(v, abs=1e-12)
 
-    def test_truncation_tail_dominates_doubling(self):
-        g1 = es.get_kernel("gauss1")
-        psi_f = es.get_function("psi")
-        w = 4.0
-        narrow = SamplingConfig(w=w, window_half_width=3)
-        wide = SamplingConfig(w=w, window_half_width=6)
-        x = math.exp(0.3)
-        s_wide = take_samples(psi_f, wide, center_log=0.3)
-        v_narrow, diag = generalized_series_with_diagnostics(
-            g1, s_wide, x, narrow, f_bound=psi_f.weighted_bound
-        )
-        v_wide = generalized_series(g1, s_wide, x, wide)
-        assert abs(v_wide - v_narrow) <= diag.tail_bound + 1e-15
-        assert diag.tail_bound > 0.0
-
     def test_truncation_consistency_all_operators(self):
-        # doubling the window moves each operator by at most the reported tail
-        g1 = es.get_kernel("gauss1")
+        # compact support: doubling the window changes no operator, bit for bit
+        b3 = es.get_kernel("bspline3")
         f = es.get_function("damped_sin_log")
         w = 4.0
         x = math.exp(0.3)
-        narrow = SamplingConfig(w=w, window_half_width=3)
-        wide = SamplingConfig(w=w, window_half_width=6)
-        s_wide = take_samples(f, wide, center_log=0.3)
-
-        v, diag = generalized_series_with_diagnostics(g1, s_wide, x, narrow, f_bound=f.weighted_bound)
-        assert abs(generalized_series(g1, s_wide, x, wide) - v) <= diag.tail_bound + 1e-15
-
-        from expsampling.operators import kantorovich_series_with_diagnostics
-
-        v, diag = kantorovich_series_with_diagnostics(g1, f, x, narrow, f_bound=f.weighted_bound)
-        assert abs(kantorovich_series(g1, f, x, wide) - v) <= diag.tail_bound + 1e-15
-
-        v, diag = max_product_series_with_diagnostics(g1, s_wide, x, narrow, f_bound=f.weighted_bound)
-        v2 = max_product_series(g1, s_wide, x, wide)
-        assert abs(v2 - v) <= diag.tail_bound + 1e-15
-
-        # compact support: doubling changes nothing and the tail is zero
-        b3 = es.get_kernel("bspline3")
-        n2 = SamplingConfig(w=w, window_half_width=8)
-        w2 = SamplingConfig(w=w, window_half_width=16)
-        s2 = take_samples(f, w2, center_log=0.3)
-        v, diag = generalized_series_with_diagnostics(b3, s2, x, n2, f_bound=f.weighted_bound)
-        assert diag.tail_bound == 0.0
-        assert generalized_series(b3, s2, x, w2) == v
+        narrow = SamplingConfig(w=w, window_half_width=8)
+        wide = SamplingConfig(w=w, window_half_width=16)
+        s = take_samples(f, wide, center_log=0.3)
+        assert generalized_series(b3, s, x, narrow) == generalized_series(b3, s, x, wide)
+        assert kantorovich_series(b3, f, x, narrow) == kantorovich_series(b3, f, x, wide)
+        assert max_product_series(b3, s, x, narrow) == max_product_series(b3, s, x, wide)
 
 
 class TestKantorovich:
@@ -366,9 +322,11 @@ class TestClassicalFormula:
     def test_slow_tail_reported(self):
         one = es.get_function("one")
         x = math.exp(0.5)
-        val, diag = classical_exponential_formula_with_diagnostics(one, 0.0, 1.0, x, 10_000)
+        val = classical_exponential_formula(one, 0.0, 1.0, x, 10_000)
         assert val == pytest.approx(1.0, abs=1e-3)
-        assert 0.0 < diag.tail_bound < 1e-3  # conditional convergence: visible but small
+        # conditional convergence: the doubling residual is visible but small
+        wide = classical_exponential_formula(one, 0.0, 1.0, x, 20_000)
+        assert 0.0 < abs(wide - val) < 1e-3
 
     def test_validation(self):
         one = es.get_function("one")

@@ -262,17 +262,3 @@ def test_registry_names():
         assert name in es.FUNCTIONS
     with pytest.raises(ValueError, match="unknown function"):
         get_function("missing")
-
-
-def test_serialisable_rows():
-    import json
-
-    from expsampling.spaces import modulus_rows, norm_row
-
-    rows = modulus_rows(get_function("weight"), (0.25, 0.5), GRID, 65)
-    assert [r["delta"] for r in rows] == [0.25, 0.5]
-    assert all(set(r) == {"name", "delta", "grid", "estimate"} for r in rows)
-    json.dumps(rows)
-    row = norm_row(get_function("psi"), GRID)
-    assert row["estimate"] == pytest.approx(1.0, rel=1e-14)
-    json.dumps(row)
