@@ -73,6 +73,7 @@ __all__ = [
 
 DEFAULT_RATE_OMEGA_GRID = LogGrid(-8.0, 8.0, 2001)
 _BOUND_RTOL = 1e-9  # relative slack of the image and operator-norm verdicts
+_TAIL_ROWS = 16  # lattice rows of 4096 u-points per tail-decay block chunk
 
 
 def _safe(v):
@@ -585,39 +586,58 @@ def tail_decay_check(
     """The lattice join beyond offset delta*w must fall below m_nu/(delta w)^nu.
 
     Scans u over one log-period and joins |chi(e^{-k} u)| over the indices
-    with |k - log u| > delta w.
+    with |k - log u| > delta w, for k = -reach ... reach + 1.  The reach is
+    ceil(delta w) + max(32, h), h the half-width of the m_nu scan, capped at
+    ceil(max(delta w, R)) + 2 when the kernel is exactly 0 beyond R, its
+    `log_support_radius` or else its `zero_radius`.
     """
-    try:
-        est = discrete_absolute_moment_estimate(kernel, nu)
-    except DivergentMomentError as exc:
-        return _unmet(
-            "tail_decay", math.inf, math.inf, kernel=kernel.name, nu=nu,
-            reason=f"m_{nu:g} divergent at u={exc.witness_u:.6g}",
-        )
-    m_nu = est.value
-    cut = delta * w
-    if kernel.log_support_radius is not None:
-        reach = int(math.ceil(max(cut, kernel.log_support_radius))) + 2
-    else:
-        reach = int(math.ceil(cut)) + max(32, est.half_width)
+    return _tail_decay_checks(kernel, [(nu, delta)], w)[0]
+
+
+def _tail_decay_checks(kernel: Kernel, pairs: Sequence[tuple], w: float) -> list[BoundCheck]:
+    """`tail_decay_check` for each (nu, delta) in pairs, from one |chi| block over
+    their largest reach; each check joins over its own rows, as its one-pair call."""
+    checks, scans = [], []
+    for nu, delta in pairs:
+        try:
+            est = discrete_absolute_moment_estimate(kernel, nu)
+        except DivergentMomentError as exc:
+            checks.append(_unmet(
+                "tail_decay", math.inf, math.inf, kernel=kernel.name, nu=nu,
+                reason=f"m_{nu:g} divergent at u={exc.witness_u:.6g}",
+            ))
+            continue
+        cut = delta * w
+        reach = math.ceil(cut) + max(32, est.half_width)
+        radius = kernel.log_support_radius if kernel.log_support_radius is not None else kernel.zero_radius
+        if radius is not None:
+            reach = min(reach, math.ceil(max(cut, radius)) + 2)
+        scans.append((len(checks), nu, delta, est.value, cut, reach))
+        checks.append(None)
     vs = _frac_grid()
-    ks = np.arange(-reach, reach + 2)
-    t = vs[None, :] - ks[:, None]
-    outside = np.abs(t) > cut
-    vals = np.where(outside, np.abs(kernel.log_profile(t)), -np.inf)
-    per_u = vals.max(axis=0)
-    i = int(np.argmax(per_u))
-    lhs = float(per_u[i])
-    rhs = m_nu / cut**nu
-    return BoundCheck(
-        bound_name="tail_decay",
-        lhs=lhs,
-        rhs=rhs,
-        holds=bool(lhs <= rhs + 1e-12 * max(1.0, rhs)),
-        slack=rhs - lhs,
-        witness=float(math.exp(vs[i])),
-        details={"kernel": kernel.name, "nu": nu, "delta": delta, "w": w, "m_nu": m_nu},
-    )
+    top = max((s[-1] for s in scans), default=-1)  # -1: no rows when every moment diverges
+    per_u = np.full((len(scans), vs.size), -np.inf)
+    for lo in range(-top, top + 2, _TAIL_ROWS):
+        ks = np.arange(lo, min(lo + _TAIL_ROWS, top + 2))
+        t = vs[None, :] - ks[:, None]
+        chi = np.abs(kernel.log_profile(t))
+        for row, (*_, cut, reach) in zip(per_u, scans):
+            own = (np.abs(t) > cut) & ((ks >= -reach) & (ks <= reach + 1))[:, None]
+            np.maximum(row, np.where(own, chi, -np.inf).max(axis=0), out=row)
+    for row, (j, nu, delta, m_nu, cut, _) in zip(per_u, scans):
+        i = int(np.argmax(row))
+        lhs = float(row[i])
+        rhs = m_nu / cut**nu
+        checks[j] = BoundCheck(
+            bound_name="tail_decay",
+            lhs=lhs,
+            rhs=rhs,
+            holds=bool(lhs <= rhs + 1e-12 * max(1.0, rhs)),
+            slack=rhs - lhs,
+            witness=float(math.exp(vs[i])),
+            details={"kernel": kernel.name, "nu": nu, "delta": delta, "w": w, "m_nu": m_nu},
+        )
+    return checks
 
 
 def denominator_bound_check(
@@ -672,12 +692,11 @@ def denominator_bound_check(
 
 def lemma_suite(kernel: Kernel) -> list[BoundCheck]:
     """Moment dominance, tail decay and denominator bound for one kernel."""
-    checks = [moment_dominance_check(kernel, 2.0)]
-    for nu in (1.0, 2.0):
-        for delta in (0.25, 0.5):
-            checks.append(tail_decay_check(kernel, nu, delta, 8.0))
-    checks.append(denominator_bound_check(kernel))
-    return checks
+    return [
+        moment_dominance_check(kernel, 2.0),
+        *_tail_decay_checks(kernel, [(nu, delta) for nu in (1.0, 2.0) for delta in (0.25, 0.5)], 8.0),
+        denominator_bound_check(kernel),
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ and formats it uses; any other is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -233,11 +234,8 @@ def _cmd_moments(config: RunConfig) -> int:
             )
             print(f"m_{nu:g}({kernel.name}) divergent: witness u={exc.witness_u:.6g} k={exc.witness_k}")
     if config.fmt == "csv":
-        header = ["nu", "value", "divergent"]
-        _emit(
-            config,
-            _csv_payload(config, header, [[r["nu"], r.get("value"), r["divergent"]] for r in rows]),
-        )
+        header = ["nu", "value", "half_width", "tail_bound", "divergent", "witness_u", "witness_k"]
+        _emit(config, _csv_payload(config, header, [[r.get(k) for k in header] for r in rows]))
     else:
         _emit(config, _json_payload(config, rows))
     return 0
@@ -492,9 +490,12 @@ def _merge_value_flags(argv):
     return out
 
 
+# main parses with one parser per process; build_parser() stays fresh per call
+_shared_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_merge_value_flags(sys.argv[1:] if argv is None else list(argv)))
+    args = _shared_parser().parse_args(_merge_value_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         config = _to_runconfig(args)
     except (ConfigurationError, ValueError) as exc:

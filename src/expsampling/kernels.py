@@ -363,6 +363,10 @@ def discrete_absolute_moment_estimate(kernel: Kernel, nu: float) -> MomentEstima
     running estimate keeps growing under window doublings or a join is not
     finite, and ValueError unless 0 <= nu < inf.  Outcomes, divergence
     included, are memoised per (kernel object, nu).
+
+    The sup over u is taken on 4096 points of one log-period, so a sup
+    attained at a kink of the kernel is resolved only to that spacing:
+    bspline2 as nu -> 0 reads 1 - 1/4096, not 1.
     """
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"moment order must be finite and nonnegative, got {nu!r}")

@@ -1,5 +1,6 @@
 """Verifier harnesses: bound checks, convergence tables and order fits."""
 
+import dataclasses
 import json
 import math
 
@@ -17,7 +18,11 @@ from expsampling import (
     LogGrid,
     SamplingConfig,
 )
+from expsampling import analysis
 from expsampling.analysis import (
+    BoundCheck,
+    _tail_decay_checks,
+    _unmet,
     checks_to_markdown,
     convergence_experiment,
     denominator_bound_check,
@@ -32,6 +37,8 @@ from expsampling.analysis import (
     verify_weighted_image_bound,
     voronovskaja_check,
 )
+from expsampling.errors import DivergentMomentError
+from expsampling.kernels import Kernel, _frac_grid, discrete_absolute_moment_estimate
 from expsampling.operators import index_set, max_product_series_on_grid
 
 GRID = LogGrid(-2.0, 2.0, 129)
@@ -237,6 +244,69 @@ class TestVoronovskaja:
             voronovskaja_check(es.get_function("damped_log2"), es.get_kernel("bspline3"), 0, (8.0,), GRID)
 
 
+def oracle_tail_decay_check(
+    kernel: Kernel,
+    nu: float,
+    delta: float,
+    w: float,
+) -> BoundCheck:
+    """The lattice join beyond offset delta*w must fall below m_nu/(delta w)^nu.
+
+    Scans u over one log-period and joins |chi(e^{-k} u)| over the indices
+    with |k - log u| > delta w.
+    """
+    try:
+        est = discrete_absolute_moment_estimate(kernel, nu)
+    except DivergentMomentError as exc:
+        return _unmet(
+            "tail_decay", math.inf, math.inf, kernel=kernel.name, nu=nu,
+            reason=f"m_{nu:g} divergent at u={exc.witness_u:.6g}",
+        )
+    m_nu = est.value
+    cut = delta * w
+    if kernel.log_support_radius is not None:
+        reach = int(math.ceil(max(cut, kernel.log_support_radius))) + 2
+    else:
+        reach = int(math.ceil(cut)) + max(32, est.half_width)
+    vs = _frac_grid()
+    ks = np.arange(-reach, reach + 2)
+    t = vs[None, :] - ks[:, None]
+    outside = np.abs(t) > cut
+    vals = np.where(outside, np.abs(kernel.log_profile(t)), -np.inf)
+    per_u = vals.max(axis=0)
+    i = int(np.argmax(per_u))
+    lhs = float(per_u[i])
+    rhs = m_nu / cut**nu
+    return BoundCheck(
+        bound_name="tail_decay",
+        lhs=lhs,
+        rhs=rhs,
+        holds=bool(lhs <= rhs + 1e-12 * max(1.0, rhs)),
+        slack=rhs - lhs,
+        witness=float(math.exp(vs[i])),
+        details={"kernel": kernel.name, "nu": nu, "delta": delta, "w": w, "m_nu": m_nu},
+    )
+
+
+# Every registered kernel, three fresh Gaussians, and a kernel with a bump at
+# log-offset 50 that its moment scans settle before reaching: only the checks
+# whose reach covers 50 may see it.  Each rate's pairs reach cuts below and
+# beyond the support and zero radii; nu = 5 diverges for linc.
+FAR_BUMP = Kernel(
+    "far_bump", lambda t: np.exp(-np.square(t)) + np.exp(-4.0 * np.square(t - 50.0)), None, math.inf
+)
+TAIL_KERNELS = [
+    *(es.get_kernel(n) for n in sorted(es.KERNELS)),
+    *(es.mellin_gaussian(a) for a in (0.75, 1.1, 1.5)),
+    FAR_BUMP,
+]
+TAIL_CASES = {
+    1.0: [(1.0, 0.25), (2.0, 0.5), (5.0, 4.0)],
+    8.0: [(1.0, 4.0), (2.0, 0.25), (5.0, 0.5)],
+    128.0: [(2.0, 0.5), (5.0, 0.25)],
+}
+
+
 class TestLemmaSuite:
     def test_bspline3_all_hold(self):
         checks = lemma_suite(es.get_kernel("bspline3"))
@@ -261,6 +331,38 @@ class TestLemmaSuite:
                     for w in (4.0, 32.0, 128.0):
                         c = tail_decay_check(k, nu, delta, w)
                         assert c.holds and c.hypothesis_met, (name, nu, delta, w)
+
+    @pytest.mark.parametrize("kernel", TAIL_KERNELS, ids=lambda k: k.name)
+    def test_lemma_suite_matches_per_call_oracle(self, kernel):
+        tails = [oracle_tail_decay_check(kernel, nu, d, 8.0) for nu in (1.0, 2.0) for d in (0.25, 0.5)]
+        oracle = [moment_dominance_check(kernel, 2.0), *tails, denominator_bound_check(kernel)]
+        assert [c.to_dict() for c in lemma_suite(kernel)] == [c.to_dict() for c in oracle]
+
+    @pytest.mark.parametrize("kernel", TAIL_KERNELS, ids=lambda k: k.name)
+    def test_shared_block_matches_per_call_oracle(self, kernel):
+        for w, pairs in TAIL_CASES.items():
+            want = [oracle_tail_decay_check(kernel, nu, delta, w).to_dict() for nu, delta in pairs]
+            assert [c.to_dict() for c in _tail_decay_checks(kernel, pairs, w)] == want, w
+        nu, delta = TAIL_CASES[1.0][0]
+        want = oracle_tail_decay_check(kernel, nu, delta, 1.0).to_dict()
+        assert tail_decay_check(kernel, nu, delta, 1.0).to_dict() == want
+
+    def test_lemma_tail_checks_share_one_capped_block(self, monkeypatch):
+        gauss1, points = es.mellin_gaussian(1.0), []
+
+        def counting(t):
+            points.append(np.size(t))
+            return gauss1.log_profile(t)
+
+        kernel = dataclasses.replace(gauss1, log_profile=counting)
+        for nu in (1.0, 2.0):
+            discrete_absolute_moment_estimate(kernel, nu)
+        monkeypatch.setattr(analysis, "moment_dominance_check", lambda *a: None)
+        monkeypatch.setattr(analysis, "denominator_bound_check", lambda *a: None)
+        points.clear()
+        lemma_suite(kernel)
+        # reach ceil(max(cut, zero radius 27.3)) + 2 = 30: rows -30 ... 31
+        assert sum(points) == 62 * 4096
 
     def test_denominator_bound_both_modes(self):
         for name in ("bspline3", "gauss1", "bspline4"):

@@ -1,12 +1,14 @@
 """End-to-end command-line behaviour: artifacts, determinism, exit codes."""
 
+import csv
 import json
 import math
 import os
 
 import pytest
 
-from expsampling.cli import RunConfig, _csv_payload, _md_payload, list_registries, main
+from expsampling import cli
+from expsampling.cli import RunConfig, _csv_payload, _md_payload, build_parser, list_registries, main
 
 
 def run_cli(args, capsys):
@@ -52,6 +54,29 @@ class TestMoments:
         code, out, _ = run_cli(["moments", "--kernel", "linc0", "--nu", "0,2"], capsys)
         assert code == 0
         assert "divergent" in out
+
+
+    @pytest.mark.parametrize("args", [["--kernel", "bspline3"], ["--kernel", "linc0", "--nu", "0,2"]])
+    def test_csv_rows_carry_the_json_fields(self, args, tmp_path, capsys):
+        paths = {fmt: tmp_path / f"m.{fmt}" for fmt in ("json", "csv")}
+        for fmt, path in paths.items():
+            assert run_cli(["moments", *args, "--format", fmt, "--output", str(path)], capsys)[0] == 0
+        rows = json.loads(paths["json"].read_text())["results"]
+        lines = paths["csv"].read_text().splitlines()
+        header = lines[1].split(",")
+        assert header == ["nu", "value", "half_width", "tail_bound", "divergent", "witness_u", "witness_k"]
+        cells = list(csv.reader(lines[2:]))
+        assert len(cells) == len(rows)
+        for row, line in zip(rows, cells):
+            assert set(row) <= set(header)
+            for key, cell in zip(header, line):
+                value = row.get(key)
+                if value is None:
+                    assert cell == "", key
+                elif isinstance(value, bool):
+                    assert cell == ("true" if value else "false"), key
+                else:
+                    assert float(cell) == value, key
 
 
 class TestReconstruct:
@@ -152,6 +177,44 @@ class TestParserContract:
     )
     def test_dropped_choice_is_a_usage_error(self, args, tmp_path, capsys):
         assert_parser_rejects(args, tmp_path / "out", capsys)
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; `build_parser` builds afresh."""
+
+    SEQUENCE = [
+        ["kernel-check", "--kernel", "bspline3", "--format", "csv"],
+        ["kernel-check", "--kernel", "bspline3", "--mu", "5", "--r", "1"],
+        ["suite", "--kernels", "bspline3", "--format", "md"],
+        ["moments", "--kernel", "bspline3", "--seed", "1"],
+        ["rate", "--kernel", "bspline3", "--function", "weight", "--w", "8", "--grid", "-1:1:33"],
+    ]
+
+    def test_build_parser_is_fresh_per_call(self):
+        assert build_parser() is not build_parser()
+        assert cli._shared_parser() is cli._shared_parser()
+
+    def _run_sequence(self, outdir, capsys, monkeypatch):
+        monkeypatch.setenv("EXPSAMPLING_OUTDIR", str(outdir))
+        seen = []
+        for i, args in enumerate(self.SEQUENCE):
+            try:
+                code = main(args + ["--output", f"{i}.out"])
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            artifact = outdir / f"{i}.out"
+            seen.append((code, out.out.replace(str(outdir), "OUT"), out.err,
+                         artifact.read_bytes() if artifact.exists() else None))
+        return seen
+
+    def test_shared_parser_leaks_no_state(self, tmp_path, capsys, monkeypatch):
+        shared = self._run_sequence(tmp_path / "shared", capsys, monkeypatch)
+        monkeypatch.setattr(cli, "_shared_parser", build_parser)
+        fresh = self._run_sequence(tmp_path / "fresh", capsys, monkeypatch)
+        assert [s[0] for s in shared] == [2, 0, 0, 2, 0]
+        assert [s[3] is None for s in shared] == [True, False, False, True, False]
+        assert shared == fresh
 
 
 class TestNonFiniteInputs:
