@@ -344,18 +344,15 @@ def verify_quantitative_rate(
     kernel: Kernel,
     w_list: Sequence[float],
     grid: LogGrid,
-    omega_grid: LogGrid = DEFAULT_RATE_OMEGA_GRID,
-    shift_points: int = 129,
-    safety: float = 1.0,
     slack: float = 0.05,
 ) -> list[BoundCheck]:
     """Check the modulus-of-continuity rate bound pointwise for each rate.
 
     For every w >= 1 the pointwise error of the max-product operator must stay
     within 64 (1 + log^2 x) Omega(f, 1/w) (m0 + m5) / eta, with Omega estimated
-    on `omega_grid` (a lower bound of the true supremum, hence a "consistent"
-    vocabulary: verdicts allow the configured relative slack).  The companion
-    weighted-sup form is evaluated into the details.
+    on `DEFAULT_RATE_OMEGA_GRID` with 129 shifts (a lower bound of the true
+    supremum, hence a "consistent" vocabulary: verdicts allow the relative
+    `slack`).  The companion weighted-sup form is evaluated into the details.
     """
     if any(w < 1.0 for w in w_list):
         raise ValueError("rate bound requires w >= 1")
@@ -370,7 +367,7 @@ def verify_quantitative_rate(
     config = SamplingConfig(w=1.0)
     for w in sorted(w_list):
         w = float(w)
-        omega = weighted_log_modulus(f, 1.0 / w, omega_grid, shift_points) * safety
+        omega = weighted_log_modulus(f, 1.0 / w, DEFAULT_RATE_OMEGA_GRID)
         rows = evaluate_on_grid("MG", f, kernel, replace(config, w=w), grid)
         lhs = rows.error_vs_f
         rhs = 64.0 * (1.0 + vs * vs) * omega * (m0 + m5) / eta
@@ -418,16 +415,14 @@ def voronovskaja_check(
     w_list: Sequence[float],
     x_grid: LogGrid,
     slack: float = 0.05,
-    safety: float = 1.0,
     require_constant_moments: bool = True,
-    omega_grid: LogGrid = DEFAULT_RATE_OMEGA_GRID,
-    shift_points: int = 129,
 ) -> list[BoundCheck]:
     """Check the quantitative asymptotic expansion of the max-product error.
 
     The scaled residual w^r |MG(f;x) - (1/M0) sum_t theta^t f(x)/(t! w^t) M_t|
     is compared against (64/(r! M0)) (1+log^2 x) Omega(theta^r f, 1/w)
-    (m_r + m_{r+5}) at every grid point.
+    (m_r + m_{r+5}) at every grid point, Omega estimated as in
+    `verify_quantitative_rate`.
 
     The primary verdict evaluates the algebraic moments M_t at the lattice
     phase of each evaluation point (the expansion's own normalisation M0 is
@@ -468,7 +463,7 @@ def voronovskaja_check(
     for w in sorted(w_list):
         w = float(w)
         config = SamplingConfig(w=w)
-        omega = weighted_log_modulus(theta_r, 1.0 / w, omega_grid, shift_points) * safety
+        omega = weighted_log_modulus(theta_r, 1.0 / w, DEFAULT_RATE_OMEGA_GRID)
         rows = evaluate_on_grid("MG", f, kernel, config, x_grid)
         mg = rows.value
 
@@ -540,26 +535,17 @@ def voronovskaja_check(
 # --------------------------------------------------------------------------
 
 
-def moment_dominance_check(
-    kernel: Kernel,
-    mu: float = 2.0,
-    orders: Optional[Sequence[float]] = None,
-) -> BoundCheck:
-    """Every moment of order nu <= mu must stay below m0 + m_mu."""
-    if orders is None:
-        orders = [mu * k / 4.0 for k in range(5)]
+def moment_dominance_check(kernel: Kernel) -> BoundCheck:
+    """Every moment of order nu in {0, 0.5, 1, 1.5, 2} must stay below m0 + m2."""
     try:
-        moments = {
-            nu: discrete_absolute_moment(kernel, nu)
-            for nu in sorted(set([0.0, float(mu)] + list(orders)))
-        }
+        moments = {nu: discrete_absolute_moment(kernel, nu) for nu in (0.0, 0.5, 1.0, 1.5, 2.0)}
     except DivergentMomentError as exc:
         return _unmet(
-            "moment_dominance", math.inf, math.inf, kernel=kernel.name, mu=mu,
+            "moment_dominance", math.inf, math.inf, kernel=kernel.name, mu=2.0,
             reason=f"m_{exc.order:g} divergent at u={exc.witness_u:.6g}, k={exc.witness_k}",
         )
-    rhs = moments[0.0] + moments[float(mu)]
-    worst_nu = max((nu for nu in moments if nu <= mu), key=lambda nu: moments[nu])
+    rhs = moments[0.0] + moments[2.0]
+    worst_nu = max(moments, key=moments.get)
     lhs = moments[worst_nu]
     return BoundCheck(
         bound_name="moment_dominance",
@@ -570,7 +556,7 @@ def moment_dominance_check(
         witness=None,
         details={
             "kernel": kernel.name,
-            "mu": mu,
+            "mu": 2.0,
             "worst_order": worst_nu,
             "moments": {f"{k:g}": v for k, v in sorted(moments.items())},
         },
@@ -640,16 +626,12 @@ def _tail_decay_checks(kernel: Kernel, pairs: Sequence[tuple], w: float) -> list
     return checks
 
 
-def denominator_bound_check(
-    kernel: Kernel,
-    interval: tuple[float, float] = (1.0, math.e),
-    w_list: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
-    grid_points: int = 257,
-) -> BoundCheck:
+def denominator_bound_check(kernel: Kernel) -> BoundCheck:
     """The denominator join must stay above the kernel infimum over [1, e].
 
-    Checks both the interval-mode join over J_w (for admissible rates) and the
-    full-window join on a wider grid.
+    At each w in {1, 2, 4, 8} checks the interval-mode join over J_w on
+    257 points of [1, e], and the full-window join on 257 points of
+    log x in [-2, 2].
     """
     eta = eta_lower_bound(kernel)
     if eta <= 0.0:
@@ -657,28 +639,15 @@ def denominator_bound_check(
             "denominator_lower_bound", eta, math.nan, kernel=kernel.name,
             reason=f"kernel infimum over [1,e] is {eta:.6g}, not positive",
         )
-    a, b = interval
-    w_min = 1.0 / (math.log(b) - math.log(a))
-    min_join = math.inf
-    witness = None
-    for w in w_list:
-        if w < w_min:
-            continue
-        config = SamplingConfig(w=float(w), interval=(a, b))
-        vs = LogGrid(math.log(a), math.log(b), grid_points).log_values()
-        _, chi, mask, _ = _band(kernel, config, vs)
-        joins = _join(chi, mask)
-        j = int(np.argmin(joins))
-        if joins[j] < min_join:
-            min_join, witness = float(joins[j]), float(math.exp(vs[j]))
-        # full-window variant on a wider grid
-        config_w = SamplingConfig(w=float(w))
-        vs2 = LogGrid(-2.0, 2.0, grid_points).log_values()
-        _, chi, mask, _ = _band(kernel, config_w, vs2)
-        joins = _join(chi, mask)
-        j = int(np.argmin(joins))
-        if joins[j] < min_join:
-            min_join, witness = float(joins[j]), float(math.exp(vs2[j]))
+    inner, wide = LogGrid(0.0, 1.0, 257).log_values(), LogGrid(-2.0, 2.0, 257).log_values()
+    min_join, witness = math.inf, None
+    for w in (1.0, 2.0, 4.0, 8.0):
+        for config, vs in ((SamplingConfig(w=w, interval=(1.0, math.e)), inner), (SamplingConfig(w=w), wide)):
+            _, chi, mask, _ = _band(kernel, config, vs)
+            joins = _join(chi, mask)
+            j = int(np.argmin(joins))
+            if joins[j] < min_join:
+                min_join, witness = float(joins[j]), float(math.exp(vs[j]))
     return BoundCheck(
         bound_name="denominator_lower_bound",
         lhs=eta,
@@ -686,14 +655,14 @@ def denominator_bound_check(
         holds=bool(eta <= min_join + 1e-12),
         slack=min_join - eta,
         witness=witness,
-        details={"kernel": kernel.name, "interval": list(interval), "w_list": list(w_list)},
+        details={"kernel": kernel.name, "interval": [1.0, math.e], "w_list": [1.0, 2.0, 4.0, 8.0]},
     )
 
 
 def lemma_suite(kernel: Kernel) -> list[BoundCheck]:
     """Moment dominance, tail decay and denominator bound for one kernel."""
     return [
-        moment_dominance_check(kernel, 2.0),
+        moment_dominance_check(kernel),
         *_tail_decay_checks(kernel, [(nu, delta) for nu in (1.0, 2.0) for delta in (0.25, 0.5)], 8.0),
         denominator_bound_check(kernel),
     ]

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import analysis
+from .analysis import _safe
 from .errors import (
     ConfigurationError,
     DivergentMomentError,
@@ -33,6 +34,8 @@ from .spaces import FUNCTIONS, LogGrid, get_function
 __all__ = ["RunConfig", "run", "list_registries", "main", "build_parser"]
 
 _OUTDIR_ENV = "EXPSAMPLING_OUTDIR"
+_MOMENT_ORDERS = (0.0, 1.0, 2.0)  # `moments` without --nu, or with an empty one
+_SUITE_KERNELS = ("bspline3", "gauss1")  # `suite` without --kernels, or with an empty one
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,26 @@ def _parse_grid(spec: str) -> LogGrid:
         raise ConfigurationError(f"bad grid spec {spec!r}; expected logmin:logmax:points") from exc
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t != "")
+def _floats(text: str) -> tuple:
+    """A comma-separated list of floats; empty items are skipped."""
+    try:
+        return tuple(float(t) for t in text.split(",") if t != "")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _names(text: str) -> tuple:
+    return tuple(t for t in text.split(",") if t)
+
+
+def _interval(text: str) -> Optional[tuple]:
+    """'a,b' as a pair of floats; an empty value means no interval."""
+    if not text:
+        return None
+    parts = _floats(text)
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"interval must be 'a,b', got {text!r}")
+    return parts
 
 
 def _f17(v) -> str:
@@ -83,12 +104,6 @@ def _f17(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
-
-
-def _jsonable(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return str(v)
-    return v
 
 
 def _resolve_output(path: Optional[str]) -> Optional[str]:
@@ -209,7 +224,7 @@ def _cmd_kernel_check(config: RunConfig) -> int:
 def _cmd_moments(config: RunConfig) -> int:
     kernel = get_kernel(config.kernel)
     rows = []
-    for nu in config.nu_list or (0.0, 1.0, 2.0):
+    for nu in config.nu_list or _MOMENT_ORDERS:
         try:
             est = discrete_absolute_moment_estimate(kernel, nu)
             rows.append(
@@ -254,29 +269,12 @@ def _cmd_reconstruct(config: RunConfig) -> int:
         f"reconstruct {config.op} function={f.name} kernel={kernel.name} w={w:g}: "
         f"{len(rows)} points, max weighted error {worst:.6g}"
     )
+    header = ["x", "log_x", "value", "error_vs_f", "weighted_error"]
     if config.fmt == "json":
-        payload = [
-            {
-                "x": _jsonable(r.x),
-                "log_x": r.log_x,
-                "value": _jsonable(r.value),
-                "error_vs_f": _jsonable(r.error_vs_f),
-                "weighted_error": _jsonable(r.weighted_error),
-                "note": r.note,
-            }
-            for r in rows
-        ]
+        payload = [dict({k: _safe(getattr(r, k)) for k in header}, note=r.note) for r in rows]
         _emit(config, _json_payload(config, payload))
     else:
-        header = ["x", "log_x", "value", "error_vs_f", "weighted_error"]
-        _emit(
-            config,
-            _csv_payload(
-                config,
-                header,
-                [[r.x, r.log_x, r.value, r.error_vs_f, r.weighted_error] for r in rows],
-            ),
-        )
+        _emit(config, _csv_payload(config, header, [[getattr(r, k) for k in header] for r in rows]))
     return 0
 
 
@@ -333,18 +331,16 @@ def _cmd_voronovskaja(config: RunConfig) -> int:
 
 
 def _cmd_suite(config: RunConfig) -> int:
-    names = config.kernels or ("bspline3", "gauss1")
+    names = config.kernels or _SUITE_KERNELS
     result = analysis.run_suite(names, seed=config.seed)
     _check_lines(result.checks)
     for table in result.tables:
         order = f"{table.fitted_order:.3f}" if table.fitted_order is not None else "n/a"
         print(f"convergence {table.function_name}/{table.kernel_name}: fitted order {order}")
-    if config.fmt == "md":
-        _emit(config, _md_payload(config, analysis.checks_to_markdown(result.checks)))
-    elif config.fmt == "csv":
-        _emit_checks(config, result.checks)
-    else:
+    if config.fmt == "json":
         _emit(config, _json_payload(config, result.to_dict()))
+    else:
+        _emit_checks(config, result.checks)
     return 1 if result.violations else 0
 
 
@@ -384,92 +380,73 @@ def run(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; each namespace it returns holds RunConfig fields only.
+
+    A flag left out is left out of the namespace, so RunConfig's default
+    applies; only `--nu` and `--kernels` have command-specific defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="expsampling",
         description="Exponential sampling operators: kernel checks, reconstructions and verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+
     def common(p, formats, series=False, domain=False):
         p.add_argument("--kernel", required=True, help="kernel registry name")
         if series:
             p.add_argument("--function", required=True, help="function registry name")
-            p.add_argument("--w", default=None, help="comma-separated sampling rates (reconstruct: one)")
-            p.add_argument("--grid", default=None, help="log-grid spec logmin:logmax:points")
+            p.add_argument("--w", dest="w_list", metavar="W", type=_floats,
+                           help="comma-separated sampling rates (reconstruct: one)")
+            p.add_argument("--grid", help="log-grid spec logmin:logmax:points")
         if domain:
-            p.add_argument("--interval", default=None, help="compact domain a,b (interval mode)")
-            p.add_argument("--window", type=int, default=None, help="truncation half-width (window mode)")
-        p.add_argument("--output", default=None, help="artifact path (default: stdout)")
-        p.add_argument("--format", dest="fmt", choices=formats, default="json")
+            p.add_argument("--interval", type=_interval, help="compact domain a,b (interval mode)")
+            p.add_argument("--window", type=int, help="truncation half-width (window mode)")
+        p.add_argument("--output", help="artifact path (default: stdout)")
+        p.add_argument("--format", dest="fmt", choices=formats)
 
-    sub.add_parser("list", help="list kernel and function registries")
+    command("list", "list kernel and function registries")
 
-    p = sub.add_parser("kernel-check", help="run the kernel condition checks")
+    p = command("kernel-check", "run the kernel condition checks")
     common(p, ("json",))
-    p.add_argument("--mu", type=float, default=2.0, help="absolute-moment order for chi1")
-    p.add_argument("--r", type=int, default=1, help="highest algebraic-moment order for chi3")
+    p.add_argument("--mu", type=float, help="absolute-moment order for chi1")
+    p.add_argument("--r", type=int, help="highest algebraic-moment order for chi3")
 
-    p = sub.add_parser("moments", help="scan discrete absolute moments")
+    p = command("moments", "scan discrete absolute moments")
     common(p, ("csv", "json"))
-    p.add_argument("--nu", default="0,1,2", help="comma-separated moment orders")
+    p.add_argument("--nu", dest="nu_list", metavar="NU", type=_floats, default=_MOMENT_ORDERS,
+                   help="comma-separated moment orders")
 
-    p = sub.add_parser("reconstruct", help="evaluate one operator over a grid")
+    p = command("reconstruct", "evaluate one operator over a grid")
     common(p, ("csv", "json"), series=True, domain=True)
-    p.add_argument("--op", choices=OPERATOR_TAGS, default="S")
-    p.add_argument("--c", type=float, default=0.0, help="damping exponent for the classical series")
-    p.add_argument("--quad-points", dest="quadrature_points", type=int, default=8)
+    p.add_argument("--op", choices=OPERATOR_TAGS)
+    p.add_argument("--c", type=float, help="damping exponent for the classical series")
+    p.add_argument("--quad-points", dest="quadrature_points", type=int)
 
-    p = sub.add_parser("converge", help="error decay of the max-product operator")
+    p = command("converge", "error decay of the max-product operator")
     common(p, ("csv", "json"), series=True, domain=True)
 
-    p = sub.add_parser("rate", help="modulus-of-continuity rate bound")
+    p = command("rate", "modulus-of-continuity rate bound")
     common(p, ("csv", "json", "md"), series=True)
 
-    p = sub.add_parser("voronovskaja", help="asymptotic expansion check")
+    p = command("voronovskaja", "asymptotic expansion check")
     common(p, ("csv", "json", "md"), series=True)
-    p.add_argument("--r", type=int, default=1, help="expansion order")
+    p.add_argument("--r", type=int, help="expansion order")
     p.add_argument(
         "--allow-varying-moments",
         action="store_true",
         help="run even when the kernel's algebraic moments vary across the lattice",
     )
 
-    p = sub.add_parser("suite", help="run the verification suite")
-    p.add_argument("--kernels", default="bspline3,gauss1", help="comma-separated kernel names")
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json", "md"), default="json")
-    p.add_argument("--seed", type=int, default=0)
+    p = command("suite", "run the verification suite")
+    p.add_argument("--kernels", type=_names, default=_SUITE_KERNELS, help="comma-separated kernel names")
+    p.add_argument("--output")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json", "md"))
+    p.add_argument("--seed", type=int)
 
     return parser
-
-
-def _to_runconfig(args: argparse.Namespace) -> RunConfig:
-    interval = None
-    if getattr(args, "interval", None):
-        parts = _parse_floats(args.interval)
-        if len(parts) != 2:
-            raise ConfigurationError(f"interval must be 'a,b', got {args.interval!r}")
-        interval = parts
-    return RunConfig(
-        command=args.command,
-        kernel=getattr(args, "kernel", None),
-        kernels=tuple(t for t in getattr(args, "kernels", "").split(",") if t),
-        function=getattr(args, "function", None),
-        w_list=_parse_floats(args.w) if getattr(args, "w", None) else (),
-        interval=interval,
-        window=getattr(args, "window", None),
-        grid=getattr(args, "grid", None),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "fmt", "json"),
-        seed=getattr(args, "seed", 0),
-        mu=getattr(args, "mu", 2.0),
-        r=getattr(args, "r", 1),
-        nu_list=_parse_floats(args.nu) if getattr(args, "nu", None) else (),
-        op=getattr(args, "op", "S"),
-        c=getattr(args, "c", 0.0),
-        quadrature_points=getattr(args, "quadrature_points", 8),
-        allow_varying_moments=getattr(args, "allow_varying_moments", False),
-    )
 
 
 _VALUE_FLAGS = ("--grid", "--interval", "--w", "--nu", "--c")
@@ -495,13 +472,13 @@ _shared_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(_merge_value_flags(sys.argv[1:] if argv is None else list(argv)))
+    """Parse and run one command; returns the exit code, argparse's own (2 for
+    a usage error, 0 for --help) when parsing stops."""
     try:
-        config = _to_runconfig(args)
-    except (ConfigurationError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
+        args = _shared_parser().parse_args(_merge_value_flags(sys.argv[1:] if argv is None else list(argv)))
+    except SystemExit as exc:
+        return exc.code
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

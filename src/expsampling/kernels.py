@@ -255,9 +255,9 @@ def _absolute_term(chi, t, nu: float):
         return np.where(chi == 0.0, 0.0, np.abs(chi) * np.abs(t) ** nu)
 
 
-def _tail_probe(kernel: Kernel, nu: float, start: float, span: float = 16.0, points: int = 4096) -> float:
-    """Estimate sup over |t| >= start of |chi(e^t)| |t|^nu by a dense boundary scan."""
-    ts = np.linspace(start, start + span, points)
+def _tail_probe(kernel: Kernel, nu: float, start: float) -> float:
+    """Estimate sup over |t| >= start of |chi(e^t)| |t|^nu on 4096 points of [start, start + 16]."""
+    ts = np.linspace(start, start + 16.0, 4096)
     vals = _absolute_term(kernel.log_profile(ts), ts, nu)
     vals_neg = _absolute_term(kernel.log_profile(-ts), ts, nu)
     return float(max(vals.max(), vals_neg.max()))
@@ -367,6 +367,12 @@ def discrete_absolute_moment_estimate(kernel: Kernel, nu: float) -> MomentEstima
     The sup over u is taken on 4096 points of one log-period, so a sup
     attained at a kink of the kernel is resolved only to that spacing:
     bspline2 as nu -> 0 reads 1 - 1/4096, not 1.
+
+    The settle rule sees only the window scanned so far, so mass beyond the
+    half-width where one doubling moved no join is missed, with
+    `converged=True` and a small `tail_bound`.  exp(-t^2) + exp(-4 (t - 50)^2)
+    settles at half-width 16 and its m_5 reads 0.811, while the bump at
+    t = 50 alone gives about 50^5.
     """
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"moment order must be finite and nonnegative, got {nu!r}")
@@ -387,57 +393,50 @@ def discrete_absolute_moment(kernel: Kernel, nu: float) -> float:
     return discrete_absolute_moment_estimate(kernel, nu).value
 
 
-def _algebraic_scan(kernel: Kernel, j: int, vs: np.ndarray, k0: int, absolute: bool) -> np.ndarray:
-    """Join over k of chi(e^{v-k}) (k - v)^j for each v (signed by default)."""
+def _algebraic_scan(kernel: Kernel, j: int, vs: np.ndarray, k0: int) -> np.ndarray:
+    """Signed join over k of chi(e^{v-k}) (k - v)^j for each v."""
 
     def term(chi, t):
-        vals = chi * (-t) ** j
-        return np.abs(vals) if absolute else vals
+        return chi * (-t) ** j
 
     return _scan(kernel, term, vs, k0, f"algebraic moment of order {j}", float(j))[0]
 
 
-def algebraic_moment(kernel: Kernel, j: int, u: float, absolute: bool = False) -> float:
+def algebraic_moment(kernel: Kernel, j: int, u: float) -> float:
     """Signed lattice join over k of chi(e^{-k} u) (k - log u)^j.
 
     The join is taken of the signed products exactly as the operator
-    expansion uses them; `absolute=True` switches to |chi| |k - log u|^j for
-    the companion variant.
+    expansion uses them.
     """
     if j < 0 or int(j) != j:
         raise ValueError("polynomial order j must be a nonnegative integer")
     if not u > 0.0:
         raise ValueError("u must be positive")
     v = math.log(u)
-    return float(_algebraic_scan(kernel, int(j), np.array([v]), math.floor(v), absolute)[0])
+    return float(_algebraic_scan(kernel, int(j), np.array([v]), math.floor(v))[0])
 
 
-def algebraic_moment_profile(
-    kernel: Kernel, j: int, absolute: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def algebraic_moment_profile(kernel: Kernel, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Values of the order-j algebraic moment over one period of log u.
 
     Returns (log_u_grid, values); the spread of `values` quantifies how far
     the kernel is from having lattice-invariant algebraic moments.
     """
     vs = _frac_grid()
-    return vs, _algebraic_scan(kernel, j, vs, 0, absolute)
+    return vs, _algebraic_scan(kernel, j, vs, 0)
 
 
 @_memoise_outcomes
-def algebraic_moment_variation(kernel: Kernel, j: int, absolute: bool = False) -> tuple[float, float]:
+def algebraic_moment_variation(kernel: Kernel, j: int) -> tuple[float, float]:
     """(min, max) of the order-j algebraic moment over the u-scan; outcomes,
-    divergence included, are memoised per (kernel object, j, absolute)."""
-    _, vals = algebraic_moment_profile(kernel, j, absolute)
+    divergence included, are memoised per (kernel object, j)."""
+    _, vals = algebraic_moment_profile(kernel, j)
     return float(vals.min()), float(vals.max())
 
 
-def eta_lower_bound(kernel: Kernel, grid_points: int = 4097) -> float:
-    """Minimum of chi over a uniform log-grid on [1, e], endpoints included."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    ts = np.linspace(0.0, 1.0, grid_points)
-    return float(np.min(kernel.log_profile(ts)))
+def eta_lower_bound(kernel: Kernel) -> float:
+    """Minimum of chi over 4097 uniform log-points on [1, e], endpoints included."""
+    return float(np.min(kernel.log_profile(np.linspace(0.0, 1.0, 4097))))
 
 
 def check_kernel_conditions(kernel: Kernel, mu: float, r: int) -> MomentReport:

@@ -86,8 +86,8 @@ class SamplingConfig:
             raise ConfigurationError(f"sampling rate w must be positive and finite, got {self.w!r}")
         if self.interval is not None:
             a, b = self.interval
-            if not (0.0 < a < b):
-                raise ConfigurationError(f"interval must satisfy 0 < a < b, got {self.interval!r}")
+            if not 0.0 < a < b < math.inf:
+                raise ConfigurationError(f"interval must satisfy 0 < a < b < inf, got {self.interval!r}")
             if not _index_range(self.w, a, b):
                 raise ConfigurationError(
                     f"empty index set for interval {self.interval!r} at w={self.w:g}; "

@@ -69,6 +69,8 @@ class LogGrid:
     def __post_init__(self):
         if not self.log_min < self.log_max:
             raise ConfigurationError("LogGrid requires log_min < log_max")
+        if not self.log_max - self.log_min < math.inf:
+            raise ConfigurationError("LogGrid requires finite bounds whose difference is finite")
         if self.points < 2:
             raise ConfigurationError("LogGrid requires at least 2 points")
 

@@ -319,7 +319,7 @@ class TestLemmaSuite:
         assert "not positive" in c.details["reason"]
 
     def test_linc0_dominance_hypothesis_fails(self):
-        c = moment_dominance_check(es.get_kernel("linc0"), 2.0)
+        c = moment_dominance_check(es.get_kernel("linc0"))
         assert not c.hypothesis_met
         assert "divergent" in c.details["reason"]
 
@@ -335,7 +335,7 @@ class TestLemmaSuite:
     @pytest.mark.parametrize("kernel", TAIL_KERNELS, ids=lambda k: k.name)
     def test_lemma_suite_matches_per_call_oracle(self, kernel):
         tails = [oracle_tail_decay_check(kernel, nu, d, 8.0) for nu in (1.0, 2.0) for d in (0.25, 0.5)]
-        oracle = [moment_dominance_check(kernel, 2.0), *tails, denominator_bound_check(kernel)]
+        oracle = [moment_dominance_check(kernel), *tails, denominator_bound_check(kernel)]
         assert [c.to_dict() for c in lemma_suite(kernel)] == [c.to_dict() for c in oracle]
 
     @pytest.mark.parametrize("kernel", TAIL_KERNELS, ids=lambda k: k.name)

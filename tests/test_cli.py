@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: artifacts, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -9,6 +10,8 @@ import pytest
 
 from expsampling import cli
 from expsampling.cli import RunConfig, _csv_payload, _md_payload, build_parser, list_registries, main
+from expsampling.errors import ConfigurationError
+from expsampling.operators import OPERATOR_TAGS
 
 
 def run_cli(args, capsys):
@@ -145,11 +148,10 @@ class TestReconstruct:
 
 
 def assert_parser_rejects(args, out_file, capsys):
-    """argparse exits 2 with its usage message, before any output."""
-    with pytest.raises(SystemExit) as exit_:
-        main(args + ["--output", str(out_file)])
+    """main returns argparse's 2 with its usage message, before any output."""
+    code = main(args + ["--output", str(out_file)])
     out = capsys.readouterr()
-    assert exit_.value.code == 2
+    assert code == 2
     assert out.out == "" and "usage:" in out.err
     assert not out_file.exists()
 
@@ -198,10 +200,7 @@ class TestParserReuse:
         monkeypatch.setenv("EXPSAMPLING_OUTDIR", str(outdir))
         seen = []
         for i, args in enumerate(self.SEQUENCE):
-            try:
-                code = main(args + ["--output", f"{i}.out"])
-            except SystemExit as exc:
-                code = exc.code
+            code = main(args + ["--output", f"{i}.out"])
             out = capsys.readouterr()
             artifact = outdir / f"{i}.out"
             seen.append((code, out.out.replace(str(outdir), "OUT"), out.err,
@@ -215,6 +214,187 @@ class TestParserReuse:
         assert [s[0] for s in shared] == [2, 0, 0, 2, 0]
         assert [s[3] is None for s in shared] == [True, False, False, True, False]
         assert shared == fresh
+
+
+class TestUsageErrors:
+    """main returns argparse's exit code; a bad list value names its flag."""
+
+    @pytest.mark.parametrize("args", [["--help"], ["suite", "--help"], ["reconstruct", "--help"]])
+    def test_help_returns_zero(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: expsampling")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["moments", "--kernel", "bspline3", "--nu", "a"],
+             "argument --nu: could not convert string to float: 'a'"),
+            (["rate", "--kernel", "bspline3", "--function", "weight", "--w", "8,x"],
+             "argument --w: could not convert string to float: 'x'"),
+            (["converge", "--kernel", "bspline3", "--function", "weight", "--interval", "1,2,3"],
+             "argument --interval: interval must be 'a,b', got '1,2,3'"),
+        ],
+    )
+    def test_bad_list_value_names_its_flag(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and err.splitlines()[-1].endswith(f"error: {message}")
+
+
+class TestNonFiniteDomain:
+    """A non-finite interval end or grid bound is one `error:` line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # formerly an OverflowError traceback and exit 1
+            (["reconstruct", "--kernel", "bspline3", "--function", "weight", "--w", "8",
+              "--grid", "-1:1:5", "--interval", "0.5,inf"],
+             "interval must satisfy 0 < a < b < inf, got (0.5, inf)"),
+            (["converge", "--kernel", "bspline3", "--function", "weight", "--interval", "0.5,inf"],
+             "interval must satisfy 0 < a < b < inf, got (0.5, inf)"),
+            # formerly RuntimeWarnings and "cannot convert float NaN to integer"
+            (["reconstruct", "--kernel", "bspline3", "--function", "weight", "--grid", "0:inf:3"],
+             "bad grid spec '0:inf:3'; expected logmin:logmax:points"),
+            (["converge", "--kernel", "bspline3", "--function", "weight", "--grid", "-1e308:1e308:3"],
+             "bad grid spec '-1e308:1e308:3'; expected logmin:logmax:points"),
+        ],
+    )
+    def test_one_error_line_and_no_artifact(self, args, message, tmp_path, capsys):
+        out_file = tmp_path / "out.json"
+        assert run_cli(args + ["--output", str(out_file)], capsys) == (2, "", f"error: {message}\n")
+        assert not out_file.exists()
+
+
+# The former parser and resolver, kept verbatim as the oracle of config
+# resolution: argparse filled every default and `_to_runconfig` repeated
+# RunConfig's defaults in getattr fallbacks.
+
+
+def _oracle_parse_floats(text: str) -> tuple:
+    return tuple(float(t) for t in text.split(",") if t != "")
+
+
+def oracle_build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="expsampling")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, formats, series=False, domain=False):
+        p.add_argument("--kernel", required=True)
+        if series:
+            p.add_argument("--function", required=True)
+            p.add_argument("--w", default=None)
+            p.add_argument("--grid", default=None)
+        if domain:
+            p.add_argument("--interval", default=None)
+            p.add_argument("--window", type=int, default=None)
+        p.add_argument("--output", default=None)
+        p.add_argument("--format", dest="fmt", choices=formats, default="json")
+
+    sub.add_parser("list")
+    p = sub.add_parser("kernel-check")
+    common(p, ("json",))
+    p.add_argument("--mu", type=float, default=2.0)
+    p.add_argument("--r", type=int, default=1)
+    p = sub.add_parser("moments")
+    common(p, ("csv", "json"))
+    p.add_argument("--nu", default="0,1,2")
+    p = sub.add_parser("reconstruct")
+    common(p, ("csv", "json"), series=True, domain=True)
+    p.add_argument("--op", choices=OPERATOR_TAGS, default="S")
+    p.add_argument("--c", type=float, default=0.0)
+    p.add_argument("--quad-points", dest="quadrature_points", type=int, default=8)
+    p = sub.add_parser("converge")
+    common(p, ("csv", "json"), series=True, domain=True)
+    p = sub.add_parser("rate")
+    common(p, ("csv", "json", "md"), series=True)
+    p = sub.add_parser("voronovskaja")
+    common(p, ("csv", "json", "md"), series=True)
+    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--allow-varying-moments", action="store_true")
+    p = sub.add_parser("suite")
+    p.add_argument("--kernels", default="bspline3,gauss1")
+    p.add_argument("--output", default=None)
+    p.add_argument("--format", dest="fmt", choices=("csv", "json", "md"), default="json")
+    p.add_argument("--seed", type=int, default=0)
+    return parser
+
+
+def oracle_to_runconfig(args: argparse.Namespace) -> RunConfig:
+    interval = None
+    if getattr(args, "interval", None):
+        parts = _oracle_parse_floats(args.interval)
+        if len(parts) != 2:
+            raise ConfigurationError(f"interval must be 'a,b', got {args.interval!r}")
+        interval = parts
+    return RunConfig(
+        command=args.command,
+        kernel=getattr(args, "kernel", None),
+        kernels=tuple(t for t in getattr(args, "kernels", "").split(",") if t),
+        function=getattr(args, "function", None),
+        w_list=_oracle_parse_floats(args.w) if getattr(args, "w", None) else (),
+        interval=interval,
+        window=getattr(args, "window", None),
+        grid=getattr(args, "grid", None),
+        output=getattr(args, "output", None),
+        fmt=getattr(args, "fmt", "json"),
+        seed=getattr(args, "seed", 0),
+        mu=getattr(args, "mu", 2.0),
+        r=getattr(args, "r", 1),
+        nu_list=_oracle_parse_floats(args.nu) if getattr(args, "nu", None) else (),
+        op=getattr(args, "op", "S"),
+        c=getattr(args, "c", 0.0),
+        quadrature_points=getattr(args, "quadrature_points", 8),
+        allow_varying_moments=getattr(args, "allow_varying_moments", False),
+    )
+
+
+_SERIES = {"--w": "8,16", "--grid": "-1:1:5"}
+_DOMAIN = {"--interval": "0.5,2", "--window": "7"}
+# command -> (required arguments, {optional flag: value, None for a switch})
+COMMAND_FLAGS = {
+    "list": ([], {}),
+    "kernel-check": (["--kernel", "bspline3"], {"--mu": "5", "--r": "3"}),
+    "moments": (["--kernel", "bspline3"], {"--nu": "0,0.5,2", "--format": "csv"}),
+    "reconstruct": (
+        ["--kernel", "gauss1", "--function", "weight"],
+        {"--w": "16", "--grid": "-1:1:5", **_DOMAIN, "--format": "csv", "--op": "MG", "--c": "0.5",
+         "--quad-points": "4"},
+    ),
+    "converge": (["--kernel", "bspline3", "--function", "weight"], {**_SERIES, **_DOMAIN, "--format": "csv"}),
+    "rate": (["--kernel", "bspline3", "--function", "weight"], {**_SERIES, "--format": "md"}),
+    "voronovskaja": (
+        ["--kernel", "bspline3", "--function", "damped_log2"],
+        {**_SERIES, "--format": "csv", "--r": "2", "--allow-varying-moments": None},
+    ),
+    "suite": ([], {"--kernels": "bspline3,linc0", "--format": "md", "--seed": "7"}),
+}
+
+
+def _resolution_cases():
+    for command, (required, optional) in COMMAND_FLAGS.items():
+        base = [command, *required]
+        if command != "list":
+            optional = {**optional, "--output": "out.txt"}
+        flags = [[flag] if value is None else [flag, value] for flag, value in optional.items()]
+        yield base
+        yield from (base + flag for flag in flags)
+        yield base + [token for flag in flags for token in flag]
+        yield from (base + [flag, ""] for flag in ("--w", "--nu", "--kernels", "--interval") if flag in optional)
+
+
+class TestConfigResolution:
+    """RunConfig's defaults and the parser's --nu and --kernels defaults resolve
+    every invocation to the config the former getattr fallbacks built."""
+
+    @pytest.mark.parametrize("argv", list(_resolution_cases()), ids=" ".join)
+    def test_config_matches_the_former_resolver(self, argv, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", seen.append)
+        main(argv)
+        want = oracle_to_runconfig(oracle_build_parser().parse_args(cli._merge_value_flags(argv)))
+        assert seen == [want]
 
 
 class TestNonFiniteInputs:

@@ -56,6 +56,12 @@ class TestSamplingConfig:
             with pytest.raises(ConfigurationError):
                 ExpSamples(w, {0: 1.0})
 
+    def test_non_finite_interval_end_rejected(self):
+        # formerly accepted; index_set then raised OverflowError from ceil/floor
+        for interval in ((0.5, math.inf), (0.5, math.nan), (math.nan, 2.0)):
+            with pytest.raises(ConfigurationError, match="0 < a < b < inf"):
+                SamplingConfig(w=8.0, interval=interval)
+
     def test_empty_index_set_rejected(self):
         # ceil(w log a) > floor(w log b) between lattice points
         with pytest.raises(ConfigurationError):

@@ -211,13 +211,12 @@ def test_absolute_moment_matches_old_scan(name):
 def test_algebraic_moment_matches_old_scan(name):
     kernel = es.get_kernel(name)
     for j in range(4):
-        for absolute in (False, True):
-            for u in US:
-                new = _outcome(lambda: es.algebraic_moment(kernel, j, u, absolute=absolute))
-                old = _outcome(lambda: old_algebraic_moment(kernel, j, u, absolute))
-                assert type(new) is type(old), (name, j, absolute, u)
-                if not isinstance(old, DivergentMomentError):
-                    assert new == old, (name, j, absolute, u)
+        for u in US:
+            new = _outcome(lambda: es.algebraic_moment(kernel, j, u))
+            old = _outcome(lambda: old_algebraic_moment(kernel, j, u, False))
+            assert type(new) is type(old), (name, j, u)
+            if not isinstance(old, DivergentMomentError):
+                assert new == old, (name, j, u)
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -225,19 +224,18 @@ def test_algebraic_profile_matches_old_scan(name):
     kernel = es.get_kernel(name)
     exact = not name.startswith("linc")
     for j in range(4):
-        for absolute in (False, True):
-            new = _outcome(lambda: es.algebraic_moment_profile(kernel, j, absolute=absolute))
-            old = _outcome(lambda: old_algebraic_profile(kernel, j, absolute))
-            assert type(new) is type(old), (name, j, absolute)
-            if isinstance(old, DivergentMomentError):
-                continue
-            (vs, vals), (old_vs, old_vals) = new, old
-            assert np.array_equal(vs, old_vs)
-            if exact:
-                assert np.array_equal(vals, old_vals), (name, j, absolute)
-            else:
-                assert np.max(np.abs(vals - old_vals)) <= 1e-16, (name, j, absolute)
-                assert (vals.min(), vals.max()) == (old_vals.min(), old_vals.max())
+        new = _outcome(lambda: es.algebraic_moment_profile(kernel, j))
+        old = _outcome(lambda: old_algebraic_profile(kernel, j, False))
+        assert type(new) is type(old), (name, j)
+        if isinstance(old, DivergentMomentError):
+            continue
+        (vs, vals), (old_vs, old_vals) = new, old
+        assert np.array_equal(vs, old_vs)
+        if exact:
+            assert np.array_equal(vals, old_vals), (name, j)
+        else:
+            assert np.max(np.abs(vals - old_vals)) <= 1e-16, (name, j)
+            assert (vals.min(), vals.max()) == (old_vals.min(), old_vals.max())
 
 
 def test_zero_joins_read_positive_zero():

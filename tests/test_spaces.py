@@ -60,6 +60,12 @@ class TestLogGrid:
         with pytest.raises(es.ConfigurationError):
             LogGrid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)])
+    def test_non_finite_bounds_or_span_rejected(self, bounds):
+        # formerly accepted, and log_values() read nan
+        with pytest.raises(es.ConfigurationError, match="finite"):
+            LogGrid(*bounds, 3)
+
     def test_values(self):
         g = LogGrid(-1.0, 1.0, 3)
         np.testing.assert_allclose(g.log_values(), [-1.0, 0.0, 1.0])
