@@ -28,7 +28,9 @@ from .errors import (
 from .kernels import (
     Kernel,
     MomentReport,
+    _ROWS,
     _frac_grid,
+    _moment_outcomes,
     algebraic_moment,
     check_kernel_conditions,
     discrete_absolute_moment,
@@ -46,6 +48,7 @@ from .operators import (
 from .spaces import (
     LogGrid,
     WeightedFunction,
+    _BLOCK_POINTS,
     get_function,
     mellin_derivative_function,
     weighted_log_modulus,
@@ -73,7 +76,6 @@ __all__ = [
 
 DEFAULT_RATE_OMEGA_GRID = LogGrid(-8.0, 8.0, 2001)
 _BOUND_RTOL = 1e-9  # relative slack of the image and operator-norm verdicts
-_TAIL_ROWS = 16  # lattice rows of 4096 u-points per tail-decay block chunk
 
 
 def _safe(v):
@@ -537,8 +539,10 @@ def voronovskaja_check(
 
 def moment_dominance_check(kernel: Kernel) -> BoundCheck:
     """Every moment of order nu in {0, 0.5, 1, 1.5, 2} must stay below m0 + m2."""
+    orders = (0.0, 0.5, 1.0, 1.5, 2.0)
+    _moment_outcomes(kernel, orders)  # one pass for the five scans
     try:
-        moments = {nu: discrete_absolute_moment(kernel, nu) for nu in (0.0, 0.5, 1.0, 1.5, 2.0)}
+        moments = {nu: discrete_absolute_moment(kernel, nu) for nu in orders}
     except DivergentMomentError as exc:
         return _unmet(
             "moment_dominance", math.inf, math.inf, kernel=kernel.name, mu=2.0,
@@ -603,8 +607,8 @@ def _tail_decay_checks(kernel: Kernel, pairs: Sequence[tuple], w: float) -> list
     vs = _frac_grid()
     top = max((s[-1] for s in scans), default=-1)  # -1: no rows when every moment diverges
     per_u = np.full((len(scans), vs.size), -np.inf)
-    for lo in range(-top, top + 2, _TAIL_ROWS):
-        ks = np.arange(lo, min(lo + _TAIL_ROWS, top + 2))
+    for lo in range(-top, top + 2, _ROWS):
+        ks = np.arange(lo, min(lo + _ROWS, top + 2))
         t = vs[None, :] - ks[:, None]
         chi = np.abs(kernel.log_profile(t))
         for row, (*_, cut, reach) in zip(per_u, scans):
@@ -685,8 +689,11 @@ def max_product_lattice_checks(
     sample vectors.
 
     Each check reports the worst signed violation across vectors and grid
-    points as lhs (so lhs <= 0 means every inequality held).
+    points as lhs (so lhs <= 0 means every inequality held).  ValueError
+    unless n_vectors >= 1.
     """
+    if n_vectors < 1:
+        raise ValueError(f"n_vectors must be at least 1, got {n_vectors!r}")
     if config.interval is None:
         raise HypothesisNotMetError("lattice checks run in interval mode")
     vs = _as_log_values(grid)
@@ -696,33 +703,35 @@ def max_product_lattice_checks(
     # column -> position in J_w; inactive columns read any sample and are masked
     cols = np.clip(first[:, None] + np.arange(chi.shape[1]) - active.start, 0, len(active) - 1)
     rng = np.random.default_rng(seed)
-    worst = {"monotone": -math.inf, "subadd": -math.inf, "absdiff": -math.inf, "homog": -math.inf}
-
-    def mg(vec):
-        return _join(chi * vec[cols], mask) / den
-
-    for _ in range(n_vectors):
-        fvec = rng.uniform(0.0, 1.0, len(active))
-        gvec = rng.uniform(0.0, 1.0, len(active))
-        lam = float(rng.uniform(0.1, 10.0))
-        mg_f = mg(fvec)
-        mg_g = mg(gvec)
-        mg_fg = mg(fvec + gvec)
-        mg_upper = mg(np.maximum(fvec, gvec))
-        mg_abs = mg(np.abs(fvec - gvec))
-        mg_lam = mg(lam * fvec)
-        worst["monotone"] = max(worst["monotone"], float(np.max(mg_f - mg_upper)))
-        worst["subadd"] = max(worst["subadd"], float(np.max(mg_fg - mg_f - mg_g)))
-        worst["absdiff"] = max(worst["absdiff"], float(np.max(np.abs(mg_f - mg_g) - mg_abs)))
-        rel = np.abs(mg_lam - lam * mg_f) / np.maximum(1.0, lam * np.abs(mg_f))
-        worst["homog"] = max(worst["homog"], float(np.max(rel)))
-
     names = {
         "monotone": "max_product_monotonicity",
         "subadd": "max_product_subadditivity",
         "absdiff": "max_product_absolute_difference",
         "homog": "max_product_homogeneity",
     }
+    worst = dict.fromkeys(names, -math.inf)
+
+    def mg(vecs):
+        return _join(chi * vecs[:, cols], mask) / den
+
+    def fold(key, violation):  # vector by vector, as a running max over single vectors
+        worst[key] = max(worst[key], *violation.max(axis=1).tolist())
+
+    # f, g and lambda are drawn per vector in turn; the joins run on blocks of vectors x points x width
+    draws = [
+        (rng.uniform(0.0, 1.0, len(active)), rng.uniform(0.0, 1.0, len(active)), rng.uniform(0.1, 10.0))
+        for _ in range(n_vectors)
+    ]
+    fvecs, gvecs, lams = (np.array(column) for column in zip(*draws))
+    step = max(1, _BLOCK_POINTS // chi.size)
+    for lo in range(0, n_vectors, step):
+        fvec, gvec, lam = fvecs[lo : lo + step], gvecs[lo : lo + step], lams[lo : lo + step, None]
+        mg_f = mg(fvec)
+        mg_g = mg(gvec)
+        fold("monotone", mg_f - mg(np.maximum(fvec, gvec)))
+        fold("subadd", mg(fvec + gvec) - mg_f - mg_g)
+        fold("absdiff", np.abs(mg_f - mg_g) - mg(np.abs(fvec - gvec)))
+        fold("homog", np.abs(mg(lam * fvec) - lam * mg_f) / np.maximum(1.0, lam * np.abs(mg_f)))
     return [
         BoundCheck(
             bound_name=names[key],

@@ -12,14 +12,15 @@ uniform grid on [0, 1) resolves it up to grid spacing.
 Kernels are immutable after construction and safe to share across threads;
 every scan is a pure function of its arguments with deterministic reductions,
 so the absolute-moment estimates and the algebraic-moment variations are
-memoised per (kernel object, order) in bounded caches, divergent outcomes
-included.
+memoised per (kernel object, order) in one bounded memo, divergent outcomes
+included.  The orders one check needs are scanned in one pass.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -46,10 +47,11 @@ __all__ = [
     "register_kernel",
 ]
 
-_CHUNK = 256  # max lattice rows materialised per scan block
+_ROWS = 16  # lattice rows of 4096 u-points per block of the moment and tail-decay scans
 _U_POINTS = 4096  # resolution of the fractional-part grid for log u
 _CHI3_REL = 1e-9  # chi3 allows a spread of _CHI3_REL (1 + |max|) over the u-scan
-_CACHE_SIZE = 1024  # memoised scans, keyed by (kernel object, order)
+_CACHE_SIZE = 2048  # memoised scans, keyed by (kind, kernel object, order)
+_PASS_ALGEBRAIC = 8  # highest algebraic order check_kernel_conditions scans in its first pass
 # window widening of the moment scans for kernels without compact support
 _FIRST_HALF_WIDTH = 8
 _MAX_HALF_WIDTH = 2048
@@ -251,8 +253,12 @@ def _frac_grid() -> np.ndarray:
 
 def _absolute_term(chi, t, nu: float):
     """|chi| |t|^nu, where a zero kernel value gives a zero term, not 0 * inf."""
+    out = np.abs(t)  # built in place: a scan block holds one temporary fewer
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(chi == 0.0, 0.0, np.abs(chi) * np.abs(t) ** nu)
+        out **= nu
+        out *= np.abs(chi)
+    out[chi == 0.0] = 0.0
+    return out
 
 
 def _tail_probe(kernel: Kernel, nu: float, start: float) -> float:
@@ -270,85 +276,121 @@ def _join_k(kernel: Kernel, term, v: float, k0: int, h: int) -> int:
     return int(ks[np.argmax(term(kernel.log_profile(t), t))])
 
 
-def _scan(kernel: Kernel, term, vs: np.ndarray, k0: int, what: str, order: float):
-    """Join term(chi(e^t), t), t = v - k, over k = k0 - h ... k0 + h at each v in vs.
+def _scan(kernel: Kernel, terms, vs: np.ndarray, k0: int) -> list:
+    """Join each term(chi(e^t), t), t = v - k, over k = k0 - h ... k0 + h at each v in vs.
 
-    Returns (joins, h, settled).  A kernel vanishing beyond offset R takes h = ceil(R) + 1.  Otherwise the
-    window widens by rings from h = 8 to 2048: the joins have settled when
-    none moves by more than 1e-12 max(1, peak), and they diverge when the
-    peak |join| grows by 1.5x on three doublings in a row.  A join that is
-    not finite diverges on either branch.  Divergence raises
-    DivergentMomentError, witnessed at the peak point.  Zero joins read +0.
+    `terms` holds (term, what, order) triples; chi is evaluated once per
+    block of _ROWS rows for every term still scanning, and each term stops
+    where its scan alone would.  Returns per term (joins, h, settled), or its
+    DivergentMomentError unraised.  A kernel vanishing beyond offset R takes
+    h = ceil(R) + 1.  Otherwise the window widens by rings from h = 8 to
+    2048: the joins have settled when none moves by more than
+    1e-12 max(1, peak), and they diverge when the peak |join| grows by 1.5x
+    on three doublings in a row.  A join that is not finite diverges on
+    either branch, witnessed at the peak point.  Zero joins read +0.
     """
 
-    def join(ks):
-        out = np.full(vs.shape, -np.inf)
-        for lo in range(0, len(ks), _CHUNK):
-            t = vs - ks[lo : lo + _CHUNK, None]
-            out = np.maximum(out, term(kernel.log_profile(t), t).max(axis=0))
-        return out + 0.0
+    def join(ks, live):
+        outs = [np.full(vs.shape, -np.inf) for _ in live]
+        for lo in range(0, len(ks), _ROWS):
+            t = vs - ks[lo : lo + _ROWS, None]
+            chi = kernel.log_profile(t)
+            for out, i in zip(outs, live):
+                np.maximum(out, terms[i][0](chi, t).max(axis=0), out=out)
+        return [out + 0.0 for out in outs]
 
-    def diverge(joins, h):
-        i = int(np.argmax(np.abs(joins)))
-        raise DivergentMomentError(
+    def diverge(i, joins, h):
+        term, what, order = terms[i]
+        j = int(np.argmax(np.abs(joins)))
+        return DivergentMomentError(
             f"{what} for kernel '{kernel.name}' diverges "
             f"(peak join {float(np.max(np.abs(joins))):.6g} at half-width {h})",
-            witness_u=math.exp(float(vs[i])),
-            witness_k=_join_k(kernel, term, vs[i], k0, h),
+            witness_u=math.exp(float(vs[j])),
+            witness_k=_join_k(kernel, term, vs[j], k0, h),
             order=order,
         )
 
-    if kernel.log_support_radius is not None:
-        h = math.ceil(kernel.log_support_radius) + 1
-        joins = join(k0 + np.arange(-h, h + 1))
-        if not np.all(np.isfinite(joins)):
-            diverge(joins, h)
-        return joins, h, True
-    h, streak, prev_peak, moved = _FIRST_HALF_WIDTH, 0, math.inf, math.inf
-    joins = join(k0 + np.arange(-h, h + 1))
+    out, live = [None] * len(terms), range(len(terms))
+    compact = kernel.log_support_radius is not None
+    h = math.ceil(kernel.log_support_radius) + 1 if compact else _FIRST_HALF_WIDTH
+    # per term: joins, streak, previous peak, largest move of the last ring (0: settles at once)
+    first = join(k0 + np.arange(-h, h + 1), live)
+    state = {i: (joins, 0, math.inf, 0.0 if compact else math.inf) for i, joins in zip(live, first)}
     while True:
-        peak = float(np.max(np.abs(joins)))
-        growth = peak / prev_peak if prev_peak > 0.0 else 1.0
-        streak = streak + 1 if growth >= _DIVERGENCE_GROWTH else 0
-        if streak >= _DIVERGENCE_STREAK or not np.all(np.isfinite(joins)):
-            diverge(joins, h)
-        if moved <= _SETTLE_TOL * max(1.0, peak):
-            return joins, h, True
-        if h >= _MAX_HALF_WIDTH:
-            return joins, h, False
+        for i in live:
+            joins, streak, prev_peak, moved = state[i]
+            peak = float(np.max(np.abs(joins)))
+            growth = peak / prev_peak if prev_peak > 0.0 else 1.0
+            streak = streak + 1 if growth >= _DIVERGENCE_GROWTH else 0
+            if streak >= _DIVERGENCE_STREAK or not np.all(np.isfinite(joins)):
+                out[i] = diverge(i, joins, h)
+            elif moved <= _SETTLE_TOL * max(1.0, peak):
+                out[i] = (joins, h, True)
+            elif h >= _MAX_HALF_WIDTH:
+                out[i] = (joins, h, False)
+            state[i] = (joins, streak, peak)
+        live = [i for i in live if out[i] is None]
+        if not live:
+            return out
         ring = np.concatenate([np.arange(-2 * h, -h), np.arange(h + 1, 2 * h + 1)])
-        widened = np.maximum(joins, join(k0 + ring))
-        moved = float(np.max(np.abs(widened - joins)))
-        prev_peak, joins, h = peak, widened, 2 * h
+        for i, ring_joins in zip(live, join(k0 + ring, live)):
+            joins, streak, peak = state[i]
+            widened = np.maximum(joins, ring_joins)
+            state[i] = (widened, streak, peak, float(np.max(np.abs(widened - joins))))
+        h = 2 * h
 
 
-def _memoise_outcomes(scan):
-    """A bounded lru_cache over `scan` that caches a DivergentMomentError too.
-
-    A divergent outcome is kept as the error's fields, and each call raises a
-    fresh error from them.  `cache_clear` and `cache_info` are the cache's.
-    """
-
-    @functools.lru_cache(maxsize=_CACHE_SIZE)
-    def outcome(*args, **kwargs):
-        try:
-            return scan(*args, **kwargs), None
-        except DivergentMomentError as exc:
-            return None, (exc.args, exc.witness_u, exc.witness_k, exc.order)
-
-    @functools.wraps(scan)
-    def memoised(*args, **kwargs):
-        value, divergence = outcome(*args, **kwargs)
-        if divergence is not None:
-            message, u, k, order = divergence
-            raise DivergentMomentError(*message, witness_u=u, witness_k=k, order=order)
-        return value
-
-    memoised.cache_clear, memoised.cache_info = outcome.cache_clear, outcome.cache_info
-    return memoised
+def _spec(kind: str, order):
+    """(term, what, order) of the absolute or the signed algebraic moment scan."""
+    if kind == "absolute":
+        return (lambda chi, t: _absolute_term(chi, t, order)), f"absolute moment of order {order:g}", order
+    return (lambda chi, t: chi * (-t) ** order), f"algebraic moment of order {order}", float(order)
 
 
-@_memoise_outcomes
+# (kind, kernel object, order) -> a MomentEstimate or (min, max) pair, or the
+# unraised DivergentMomentError of the scan; bounded, least recently used first
+_MEMO: OrderedDict = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def _moment_outcomes(kernel: Kernel, absolute=(), algebraic=()) -> list:
+    """The memoised outcomes of the absolute moments of the orders `absolute`,
+    then of the algebraic variations of the orders `algebraic`; the orders not
+    memoised yet are scanned in one `_scan` pass, each as its own scan would."""
+    wanted = [("absolute", kernel, nu) for nu in absolute] + [("algebraic", kernel, j) for j in algebraic]
+    with _MEMO_LOCK:
+        found = {key: _MEMO[key] for key in wanted if key in _MEMO}
+        for key in found:
+            _MEMO.move_to_end(key)
+    missing = [key for key in dict.fromkeys(wanted) if key not in found]
+    vs = _frac_grid()
+    specs = [_spec(kind, order) for kind, _, order in missing]
+    outs = _scan(kernel, specs, vs, 0) if specs else []
+    for (kind, _, order), (term, _, _), out in zip(missing, specs, outs):
+        if kind == "algebraic" and not isinstance(out, DivergentMomentError):
+            out = (float(out[0].min()), float(out[0].max()))
+        elif not isinstance(out, DivergentMomentError):
+            joins, h, settled = out
+            i = int(np.argmax(joins))
+            k_star = _join_k(kernel, term, vs[i], 0, h)
+            tail = 0.0 if kernel.log_support_radius is not None else _tail_probe(kernel, order, float(h))
+            out = MomentEstimate(order, float(joins[i]), math.exp(vs[i]), k_star, h, tail, settled)
+        found[kind, kernel, order] = out
+    with _MEMO_LOCK:
+        for key in missing:
+            _MEMO[key] = found[key]
+            if len(_MEMO) > _CACHE_SIZE:
+                _MEMO.popitem(last=False)
+    return [found[key] for key in wanted]
+
+
+def _value(e):
+    """The outcome e itself, or a fresh copy of its DivergentMomentError raised."""
+    if isinstance(e, DivergentMomentError):
+        raise DivergentMomentError(*e.args, witness_u=e.witness_u, witness_k=e.witness_k, order=e.order)
+    return e
+
+
 def discrete_absolute_moment_estimate(kernel: Kernel, nu: float) -> MomentEstimate:
     """Scan the discrete absolute moment of order nu in the max-product sense.
 
@@ -362,7 +404,8 @@ def discrete_absolute_moment_estimate(kernel: Kernel, nu: float) -> MomentEstima
     Raises DivergentMomentError (with the witnessing u and k) when the
     running estimate keeps growing under window doublings or a join is not
     finite, and ValueError unless 0 <= nu < inf.  Outcomes, divergence
-    included, are memoised per (kernel object, nu).
+    included, are memoised per (kernel object, nu); `cache_clear` empties
+    the memo of both scan kinds.
 
     The sup over u is taken on 4096 points of one log-period, so a sup
     attained at a kink of the kernel is resolved only to that spacing:
@@ -376,16 +419,7 @@ def discrete_absolute_moment_estimate(kernel: Kernel, nu: float) -> MomentEstima
     """
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"moment order must be finite and nonnegative, got {nu!r}")
-
-    def term(chi, t):
-        return _absolute_term(chi, t, nu)
-
-    vs = _frac_grid()
-    joins, h, settled = _scan(kernel, term, vs, 0, f"absolute moment of order {nu:g}", nu)
-    i = int(np.argmax(joins))
-    k_star = _join_k(kernel, term, vs[i], 0, h)
-    tail = 0.0 if kernel.log_support_radius is not None else _tail_probe(kernel, nu, float(h))
-    return MomentEstimate(nu, float(joins[i]), math.exp(vs[i]), k_star, h, tail, settled)
+    return _value(_moment_outcomes(kernel, absolute=[nu])[0])
 
 
 def discrete_absolute_moment(kernel: Kernel, nu: float) -> float:
@@ -395,11 +429,7 @@ def discrete_absolute_moment(kernel: Kernel, nu: float) -> float:
 
 def _algebraic_scan(kernel: Kernel, j: int, vs: np.ndarray, k0: int) -> np.ndarray:
     """Signed join over k of chi(e^{v-k}) (k - v)^j for each v."""
-
-    def term(chi, t):
-        return chi * (-t) ** j
-
-    return _scan(kernel, term, vs, k0, f"algebraic moment of order {j}", float(j))[0]
+    return _value(_scan(kernel, [_spec("algebraic", j)], vs, k0)[0])[0]
 
 
 def algebraic_moment(kernel: Kernel, j: int, u: float) -> float:
@@ -426,12 +456,14 @@ def algebraic_moment_profile(kernel: Kernel, j: int) -> tuple[np.ndarray, np.nda
     return vs, _algebraic_scan(kernel, j, vs, 0)
 
 
-@_memoise_outcomes
 def algebraic_moment_variation(kernel: Kernel, j: int) -> tuple[float, float]:
     """(min, max) of the order-j algebraic moment over the u-scan; outcomes,
-    divergence included, are memoised per (kernel object, j)."""
-    _, vals = algebraic_moment_profile(kernel, j)
-    return float(vals.min()), float(vals.max())
+    divergence included, are memoised per (kernel object, j), and
+    `cache_clear` empties the memo of both scan kinds."""
+    return _value(_moment_outcomes(kernel, algebraic=[j])[0])
+
+
+discrete_absolute_moment_estimate.cache_clear = algebraic_moment_variation.cache_clear = _MEMO.clear
 
 
 def eta_lower_bound(kernel: Kernel) -> float:
@@ -457,6 +489,8 @@ def check_kernel_conditions(kernel: Kernel, mu: float, r: int) -> MomentReport:
     report = MomentReport(kernel_name=kernel.name)
 
     orders = sorted({0.0, 1.0, 2.0, float(mu)})
+    # one pass; the chi3 loop stops at a divergent order, so higher ones wait for it
+    _moment_outcomes(kernel, orders, range(min(r, _PASS_ALGEBRAIC) + 1))
     chi1 = True
     for nu in orders:
         try:

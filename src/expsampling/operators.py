@@ -266,8 +266,8 @@ def _series(operator: str, kernel: Kernel, config: SamplingConfig, vs: np.ndarra
 
 
 def _join(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise max of vals over the active set; a zero join reads +0."""
-    return np.where(mask, vals, -np.inf).max(axis=1) + 0.0
+    """Row-wise max of vals over the active set (last axis); a zero join reads +0."""
+    return np.where(mask, vals, -np.inf).max(axis=-1) + 0.0
 
 
 def _as_log_values(grid: Union[LogGrid, Sequence[float]]) -> np.ndarray:

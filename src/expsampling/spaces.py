@@ -85,6 +85,7 @@ class LogGrid:
 
 
 DEFAULT_OMEGA_GRID = LogGrid(-12.0, 12.0, 1025)
+_BLOCK_POINTS = 16384  # shifted points per block of the log-modulus scan and the lattice checks
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,8 @@ def weighted_log_modulus_estimate(
     x runs over `grid` and log t over a uniform grid of `shift_points` in
     [-delta, delta]; the estimate is a refining lower bound of the true sup.
     `boundary_ratio` is the largest ratio attained on the outermost x rows,
-    a diagnostic for mass escaping the truncated x-window.
+    a diagnostic for mass escaping the truncated x-window.  The x rows are
+    scanned in blocks of about `_BLOCK_POINTS` shifted points.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -165,14 +167,19 @@ def weighted_log_modulus_estimate(
     vs = grid.log_values()
     ss = np.linspace(-delta, delta, shift_points) if shift_points > 1 else np.array([delta])
     base = np.asarray(f.evaluate_log(vs), dtype=float)
-    shifted = np.asarray(f.evaluate_log(vs[:, None] + ss[None, :]), dtype=float)
-    if not (np.all(np.isfinite(base)) and np.all(np.isfinite(shifted))):
-        raise EvaluationError(f"'{f.name}' produced non-finite values in the modulus scan")
-    ratio = np.abs(shifted - base[:, None]) / ((1.0 + vs * vs)[:, None] * (1.0 + ss * ss)[None, :])
-    i = int(np.argmax(ratio))
-    row, col = divmod(i, ratio.shape[1])
-    boundary = float(max(ratio[0].max(), ratio[-1].max()))
-    return OmegaEstimate(float(ratio.flat[i]), float(vs[row]), float(ss[col]), boundary)
+    peaks, rows = [], max(1, _BLOCK_POINTS // ss.size)  # (first maximum, row, column) per block
+    for lo in range(0, vs.size, rows):
+        v, b = vs[lo : lo + rows], base[lo : lo + rows]
+        shifted = np.asarray(f.evaluate_log(v[:, None] + ss[None, :]), dtype=float)
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(shifted))):
+            raise EvaluationError(f"'{f.name}' produced non-finite values in the modulus scan")
+        ratio = np.abs(shifted - b[:, None]) / ((1.0 + v * v)[:, None] * (1.0 + ss * ss)[None, :])
+        i = int(np.argmax(ratio))
+        peaks.append((float(ratio.flat[i]), lo + i // ss.size, i % ss.size))
+        top = ratio[0].max() if lo == 0 else top
+    # np.argmax picks the block holding the first flat maximiser, or the first NaN
+    value, row, col = peaks[int(np.argmax([p[0] for p in peaks]))]
+    return OmegaEstimate(value, float(vs[row]), float(ss[col]), float(max(top, ratio[-1].max())))
 
 
 def weighted_log_modulus(

@@ -39,7 +39,14 @@ from expsampling.analysis import (
 )
 from expsampling.errors import DivergentMomentError
 from expsampling.kernels import Kernel, _frac_grid, discrete_absolute_moment_estimate
-from expsampling.operators import index_set, max_product_series_on_grid
+from expsampling.operators import (
+    _as_log_values,
+    _band,
+    _join,
+    _require_denominator,
+    index_set,
+    max_product_series_on_grid,
+)
 
 GRID = LogGrid(-2.0, 2.0, 129)
 
@@ -370,6 +377,69 @@ class TestLemmaSuite:
             assert c.holds and c.hypothesis_met
 
 
+def _outcome(call):
+    """The checks' dicts, or the type and text of the error the call raised."""
+    try:
+        return [c.to_dict() for c in call()]
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+LATTICE_KERNELS = [*(es.get_kernel(n) for n in sorted(es.KERNELS)), es.mellin_gaussian(1.1)]
+
+
+def oracle_lattice_checks(kernel, config, grid, n_vectors=200, seed=0):
+    """`max_product_lattice_checks` as it ran before it joined the vectors in
+    blocks: one vector at a time, the body kept verbatim."""
+    if config.interval is None:
+        raise HypothesisNotMetError("lattice checks run in interval mode")
+    vs = _as_log_values(grid)
+    first, chi, mask, active = _band(kernel, config, vs)
+    den = _join(chi, mask)
+    _require_denominator(kernel, config, vs, den)
+    # column -> position in J_w; inactive columns read any sample and are masked
+    cols = np.clip(first[:, None] + np.arange(chi.shape[1]) - active.start, 0, len(active) - 1)
+    rng = np.random.default_rng(seed)
+    worst = {"monotone": -math.inf, "subadd": -math.inf, "absdiff": -math.inf, "homog": -math.inf}
+
+    def mg(vec):
+        return _join(chi * vec[cols], mask) / den
+
+    for _ in range(n_vectors):
+        fvec = rng.uniform(0.0, 1.0, len(active))
+        gvec = rng.uniform(0.0, 1.0, len(active))
+        lam = float(rng.uniform(0.1, 10.0))
+        mg_f = mg(fvec)
+        mg_g = mg(gvec)
+        mg_fg = mg(fvec + gvec)
+        mg_upper = mg(np.maximum(fvec, gvec))
+        mg_abs = mg(np.abs(fvec - gvec))
+        mg_lam = mg(lam * fvec)
+        worst["monotone"] = max(worst["monotone"], float(np.max(mg_f - mg_upper)))
+        worst["subadd"] = max(worst["subadd"], float(np.max(mg_fg - mg_f - mg_g)))
+        worst["absdiff"] = max(worst["absdiff"], float(np.max(np.abs(mg_f - mg_g) - mg_abs)))
+        rel = np.abs(mg_lam - lam * mg_f) / np.maximum(1.0, lam * np.abs(mg_f))
+        worst["homog"] = max(worst["homog"], float(np.max(rel)))
+
+    names = {
+        "monotone": "max_product_monotonicity",
+        "subadd": "max_product_subadditivity",
+        "absdiff": "max_product_absolute_difference",
+        "homog": "max_product_homogeneity",
+    }
+    return [
+        BoundCheck(
+            bound_name=names[key],
+            lhs=worst[key],
+            rhs=0.0,
+            holds=bool(worst[key] <= 1e-12),
+            slack=-worst[key],
+            details={"kernel": kernel.name, "n_vectors": n_vectors, "seed": seed, "w": config.w},
+        )
+        for key in names
+    ]
+
+
 class TestLatticeChecks:
     def test_all_properties_hold(self):
         cfg = SamplingConfig(w=8.0, interval=(1.0, math.e))
@@ -442,6 +512,23 @@ class TestLatticeChecks:
             max_product_lattice_checks(es.get_kernel("bspline3"), cfg, LogGrid(0.0, 3.0, 7), 5)
         assert err.value.x == pytest.approx(math.exp(1.5))
         assert err.value.index_set == list(index_set(cfg))
+
+    def test_no_vectors_is_an_error(self):
+        cfg = SamplingConfig(w=8.0, interval=(1.0, math.e))
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n_vectors"):
+                max_product_lattice_checks(es.get_kernel("bspline3"), cfg, LogGrid(0.0, 1.0, 17), n)
+
+    @pytest.mark.parametrize("kernel", LATTICE_KERNELS, ids=lambda k: k.name)
+    def test_batched_vectors_match_vector_loop(self, kernel):
+        cfg = SamplingConfig(w=8.0, interval=(1.0, math.e))
+        for points in (17, 33, 65):
+            grid = LogGrid(0.0, 1.0, points)
+            for seed in range(4):
+                for n_vectors in (1, 4, 100):
+                    got = _outcome(lambda: max_product_lattice_checks(kernel, cfg, grid, n_vectors, seed))
+                    want = _outcome(lambda: oracle_lattice_checks(kernel, cfg, grid, n_vectors, seed))
+                    assert got == want, (points, seed, n_vectors)
 
 
 class TestOperatorConsistency:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import expsampling as es
 from expsampling import DivergentMomentError
+from expsampling.kernels import Kernel, _moment_outcomes
 
 
 # --- independent closed forms, derived by hand from the convolution pieces ---
@@ -343,21 +344,23 @@ ARRAY_FORMS = {
 
 
 def _count_scans(monkeypatch, what=False):
-    """Empty both scan caches and record the kernel name of every `_scan` call
-    (with what it scans, if `what`)."""
+    """Empty the scan memo and record each term of every `_scan` pass as the
+    kernel name (with what it scans, if `what`): returns (terms, passes), the
+    terms in call order and each pass as its list of terms."""
     from expsampling import kernels
 
-    calls = []
+    calls, passes = [], []
     scan = kernels._scan
 
-    def counting(kernel, *args):
-        calls.append((kernel.name, args[3]) if what else kernel.name)
-        return scan(kernel, *args)
+    def counting(kernel, terms, *args):
+        passes.append([(kernel.name, term_what) if what else kernel.name for _, term_what, _ in terms])
+        calls.extend(passes[-1])
+        return scan(kernel, terms, *args)
 
     monkeypatch.setattr(kernels, "_scan", counting)
     es.discrete_absolute_moment_estimate.cache_clear()
     es.algebraic_moment_variation.cache_clear()
-    return calls
+    return calls, passes
 
 
 class TestMemoisedScans:
@@ -383,7 +386,7 @@ class TestMemoisedScans:
         assert es.discrete_absolute_moment_estimate(kernel, nu) == est
 
     def test_suite_scans_each_kernel_order_once(self, monkeypatch):
-        calls = _count_scans(monkeypatch)
+        calls, _ = _count_scans(monkeypatch)
         es.run_suite(("bspline3", "gauss1"))
         # nu in {0, 0.5, 1, 1.5, 2} and the order-0 variation, for each kernel
         assert sorted(calls) == ["bspline3"] * 6 + ["gauss1"] * 6
@@ -392,7 +395,7 @@ class TestMemoisedScans:
         assert calls == []
 
     def test_reregistered_kernel_is_scanned_afresh(self, monkeypatch):
-        calls = _count_scans(monkeypatch)
+        calls, _ = _count_scans(monkeypatch)
         first = dataclasses.replace(es.mellin_bspline(3), name="memo_probe")
         second = dataclasses.replace(first, log_profile=lambda t: 0.5 * first.log_profile(t))
         monkeypatch.setitem(es.KERNELS, "memo_probe", None)  # dropped again after the test
@@ -406,7 +409,7 @@ class TestMemoisedScans:
         assert len(calls) == 2
 
     def test_divergent_outcomes_are_memoised(self, monkeypatch):
-        calls = _count_scans(monkeypatch)
+        calls, _ = _count_scans(monkeypatch)
         l0 = es.get_kernel("linc0")
         errors = []
         for _ in range(3):
@@ -422,8 +425,59 @@ class TestMemoisedScans:
         assert calls == ["linc0", "linc0"]
 
     def test_nine_kernel_suite_makes_each_scan_once(self, monkeypatch):
-        calls = _count_scans(monkeypatch, what=True)
+        calls, _ = _count_scans(monkeypatch, what=True)
         es.run_suite(tuple(f"bspline{n}" for n in range(1, 6)) + ("gauss1", "gauss05", "linc0", "linc1"))
         # 60 before divergent outcomes were cached: linc0's m_2 ran 4 times,
-        # linc1's m_0 twice and its m_1 and m_2 three times each
-        assert len(calls) == len(set(calls)) == 52
+        # linc1's m_0 twice and its m_1 and m_2 three times each; 52 while the
+        # dominance check stopped at linc1's divergent m_0, where its one pass
+        # of five orders also scans m_0.5 and m_1.5
+        assert len(calls) == len(set(calls)) == 54
+
+    def test_condition_check_makes_one_pass(self, monkeypatch):
+        calls, passes = _count_scans(monkeypatch, what=True)
+        es.check_kernel_conditions(es.mellin_gaussian(1.1), 5.0, 1)
+        orders = [f"absolute moment of order {nu:g}" for nu in (0, 1, 2, 5)]
+        orders += [f"algebraic moment of order {j}" for j in (0, 1)]
+        assert passes == [[("gauss11", what) for what in orders]]
+
+    def test_condition_check_point_count(self):
+        # 848,005 points with one scan per order: six 33 x 4096 blocks; one
+        # shared block now, plus four tail probes, four witness columns and eta
+        points = []
+        g = es.mellin_gaussian(1.1)
+        g = dataclasses.replace(g, log_profile=lambda t, _p=g.log_profile: points.append(np.size(t)) or _p(t))
+        es.check_kernel_conditions(g, 5.0, 1)
+        assert sum(points) == 33 * 4096 + 4 * 2 * 4096 + 4 * 33 + 4097 == 172_165
+
+
+def _scan_outcome(call):
+    """A scan's value, or the fields of the DivergentMomentError it raised."""
+    try:
+        return call()
+    except DivergentMomentError as exc:
+        return str(exc), exc.witness_u, exc.witness_k, exc.order
+
+
+# (kernel, absolute orders, algebraic orders): linc0 and linc1 diverge at the
+# higher orders; the far bump settles before its mass at log-offset 50
+FAR_BUMP = Kernel("far_bump", lambda t: np.exp(-np.square(t)) + np.exp(-4.0 * np.square(t - 50.0)), None, math.inf)
+SHARED_PASS_CASES = [
+    *((es.get_kernel(n), (0.0, 0.5, 1.0, 1.5, 2.0, 5.0, 6.0), range(4)) for n in sorted(es.KERNELS)),
+    (FAR_BUMP, (0.0, 1.0, 5.0), range(3)),
+    (es.get_kernel("linc0"), (0.0, 1.0, 2.0, 3.0, 7.0), range(6)),
+    (es.get_kernel("linc1"), (0.0, 0.5, 1.0, 2.0, 5.0), range(6)),
+]
+
+
+@pytest.mark.parametrize("kernel, absolute, algebraic", SHARED_PASS_CASES, ids=lambda c: getattr(c, "name", ""))
+def test_shared_pass_matches_one_term_passes(kernel, absolute, algebraic):
+    es.discrete_absolute_moment_estimate.cache_clear()
+    alone = [_scan_outcome(lambda: es.discrete_absolute_moment_estimate(kernel, nu)) for nu in absolute]
+    alone += [_scan_outcome(lambda: es.algebraic_moment_variation(kernel, j)) for j in algebraic]
+    es.discrete_absolute_moment_estimate.cache_clear()
+    _moment_outcomes(kernel, absolute, algebraic)  # one pass fills the memo
+    shared = [_scan_outcome(lambda: es.discrete_absolute_moment_estimate(kernel, nu)) for nu in absolute]
+    shared += [_scan_outcome(lambda: es.algebraic_moment_variation(kernel, j)) for j in algebraic]
+    assert shared == alone
+    if kernel.name.startswith("linc"):
+        assert any(isinstance(o, tuple) and len(o) == 4 for o in shared)  # a divergence was compared

@@ -1,6 +1,7 @@
 """Weighted norms, the log-modulus of continuity and Mellin derivatives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 import expsampling as es
 from expsampling import LogGrid, UnsupportedOrderError
+from expsampling.errors import EvaluationError
 from expsampling.spaces import (
     DEFAULT_OMEGA_GRID,
+    OmegaEstimate,
+    WeightedFunction,
     get_function,
     mellin_derivative,
     mellin_derivative_fd,
@@ -268,3 +272,109 @@ def test_registry_names():
         assert name in es.FUNCTIONS
     with pytest.raises(ValueError, match="unknown function"):
         get_function("missing")
+
+
+def oracle_log_modulus_estimate(f, delta, grid=DEFAULT_OMEGA_GRID, shift_points=129):
+    """The unblocked scan `weighted_log_modulus_estimate` ran before it worked in
+    row blocks, kept verbatim below its validation."""
+    if not delta > 0.0:
+        raise ValueError("delta must be positive")
+    if shift_points < 1:
+        raise ValueError("shift_points must be positive")
+    vs = grid.log_values()
+    ss = np.linspace(-delta, delta, shift_points) if shift_points > 1 else np.array([delta])
+    base = np.asarray(f.evaluate_log(vs), dtype=float)
+    shifted = np.asarray(f.evaluate_log(vs[:, None] + ss[None, :]), dtype=float)
+    if not (np.all(np.isfinite(base)) and np.all(np.isfinite(shifted))):
+        raise EvaluationError(f"'{f.name}' produced non-finite values in the modulus scan")
+    ratio = np.abs(shifted - base[:, None]) / ((1.0 + vs * vs)[:, None] * (1.0 + ss * ss)[None, :])
+    i = int(np.argmax(ratio))
+    row, col = divmod(i, ratio.shape[1])
+    boundary = float(max(ratio[0].max(), ratio[-1].max()))
+    return OmegaEstimate(float(ratio.flat[i]), float(vs[row]), float(ss[col]), boundary)
+
+
+def _modulus_functions():
+    """The registered functions with their closed-form and finite-difference Mellin derivatives."""
+    out = []
+    for f in es.FUNCTIONS.values():
+        out.append(f)
+        closed = len(f.mellin_derivatives or ())
+        out += [mellin_derivative_function(f, r) for r in range(1, closed + 1)]
+        out.append(mellin_derivative_function(f, closed + 1))  # finite differences
+    return out
+
+
+# grid sizes 2001, 251 and 7 are no multiple of a block; (grid, shift points,
+# deltas) cases run the wide scans on fewer deltas, to keep the run short
+MODULUS_GRIDS = (LogGrid(-8.0, 8.0, 2001), LogGrid(-6.0, 5.0, 251), LogGrid(-1.0, 2.0, 7))
+DELTAS = (1.0 / 16.0, 0.125, 0.5, 1.0)
+MODULUS_CASES = [
+    *((MODULUS_GRIDS[0], n, DELTAS) for n in (1, 2)),
+    (MODULUS_GRIDS[0], 129, (1.0 / 16.0, 1.0)),
+    *((MODULUS_GRIDS[1], n, DELTAS) for n in (1, 2, 129)),
+    (MODULUS_GRIDS[1], 2049, (0.5,)),
+    *((MODULUS_GRIDS[2], n, DELTAS) for n in (1, 2, 129, 2049)),
+]
+
+
+class TestBlockedLogModulus:
+    """The row-blocked log-modulus scan against the unblocked oracle."""
+
+    @pytest.mark.parametrize("f", _modulus_functions(), ids=lambda f: f.name)
+    def test_matches_unblocked_scan(self, f):
+        for grid, shifts, deltas in MODULUS_CASES:
+            for delta in deltas:
+                got = weighted_log_modulus_estimate(f, delta, grid, shifts)
+                assert got == oracle_log_modulus_estimate(f, delta, grid, shifts), (grid, delta, shifts)
+
+    def test_matches_unblocked_scan_with_many_shifts(self):
+        grid = MODULUS_GRIDS[0]
+        for name in ("weight", "jump_log"):
+            f = get_function(name)
+            got = weighted_log_modulus_estimate(f, 0.5, grid, 2049)
+            assert got == oracle_log_modulus_estimate(f, 0.5, grid, 2049), name
+
+    def test_constant_keeps_first_witness(self):
+        f = get_function("one")
+        for grid in MODULUS_GRIDS:
+            for shifts in (1, 129, 2049):
+                got = weighted_log_modulus_estimate(f, 0.5, grid, shifts)
+                ss = np.linspace(-0.5, 0.5, shifts) if shifts > 1 else np.array([0.5])
+                assert got == OmegaEstimate(0.0, grid.log_min, float(ss[0]), 0.0)
+                assert got == oracle_log_modulus_estimate(f, 0.5, grid, shifts)
+
+    def test_tie_across_blocks_keeps_first_row(self):
+        # 16 exactly symmetric rows and 2049 exactly symmetric shifts: the even
+        # tent gives equal ratios at (v, s) and (-v, -s), and 8-row blocks put
+        # the mirrored maximisers at rows 7 and 8 into different blocks
+        grid, f = LogGrid(-0.9375, 0.9375, 16), get_function("tent_log")
+        got = weighted_log_modulus_estimate(f, 1.0, grid, 2049)
+        assert got == oracle_log_modulus_estimate(f, 1.0, grid, 2049)
+        assert (got.witness_log_x, got.witness_log_t) == (-0.0625, -0.9375)
+        mirrored = weighted_log_modulus_estimate(f, 1.0, LogGrid(0.0625, 0.9375, 8), 2049)
+        assert mirrored.value == got.value
+
+    def test_non_finite_in_last_block_raises_same_error(self):
+        f = WeightedFunction(
+            "blows_up", lambda x: x, log_evaluate=lambda v: np.where(np.asarray(v) > 7.99, np.inf, 1.0)
+        )
+        grid = LogGrid(-8.0, 8.0, 251)  # 127-row blocks at 129 shifts: only rows 127.. reach v > 7.99
+        with pytest.raises(EvaluationError) as old:
+            oracle_log_modulus_estimate(f, 0.5, grid, 129)
+        calls = []
+        counted = WeightedFunction("blows_up", f.evaluate, log_evaluate=lambda v: calls.append(1) or f.log_evaluate(v))
+        with pytest.raises(EvaluationError) as new:
+            weighted_log_modulus_estimate(counted, 0.5, grid, 129)
+        assert str(new.value) == str(old.value)
+        assert len(calls) == 3  # base, then two blocks: the error comes from the last
+
+    def test_wide_scan_memory_stays_small(self):
+        f, grid = get_function("weight"), LogGrid(-8.0, 8.0, 2001)
+        tracemalloc.start()
+        try:
+            weighted_log_modulus_estimate(f, 0.5, grid, 2049)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # the unblocked scan held about 98.6 MB
