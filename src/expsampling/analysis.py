@@ -772,10 +772,7 @@ class SuiteResult:
         }
 
 
-def run_suite(
-    kernel_names: Sequence[str] = ("bspline3", "gauss1"),
-    seed: int = 0,
-) -> SuiteResult:
+def run_suite(kernel_names: Sequence[str], seed: int = 0) -> SuiteResult:
     """The desk-scale verification suite used by the command-line runner."""
     from .kernels import get_kernel
 

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 at least one hypothesis-met check violated,
 2 usage error, 3 hypotheses of the requested experiment not met.
-Identical invocations produce byte-identical artifacts; every output embeds
-the fully resolved run configuration.  Each subcommand accepts only the flags
-and formats it uses; any other is a usage error.
+Identical invocations produce byte-identical artifacts, and every artifact
+embeds the command, the schema and the command's flags as resolved.  Each
+subcommand accepts only the flags and formats it uses; any other is a usage
+error.  Without --output, stdout is the artifact and summaries go to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import analysis
@@ -31,39 +31,26 @@ from .kernels import KERNELS, check_kernel_conditions, discrete_absolute_moment_
 from .operators import OPERATOR_TAGS, SamplingConfig, evaluate_on_grid
 from .spaces import FUNCTIONS, LogGrid, get_function
 
-__all__ = ["RunConfig", "run", "list_registries", "main", "build_parser"]
+__all__ = ["run", "list_registries", "main", "build_parser"]
 
 _OUTDIR_ENV = "EXPSAMPLING_OUTDIR"
-_MOMENT_ORDERS = (0.0, 1.0, 2.0)  # `moments` without --nu, or with an empty one
-_SUITE_KERNELS = ("bspline3", "gauss1")  # `suite` without --kernels, or with an empty one
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation; identical configs yield identical artifacts."""
-
-    command: str
-    kernel: Optional[str] = None
-    kernels: tuple = ()
-    function: Optional[str] = None
-    w_list: tuple = ()
-    interval: Optional[tuple] = None
-    window: Optional[int] = None
-    grid: Optional[str] = None
-    output: Optional[str] = None
-    fmt: str = "json"
-    seed: int = 0
-    mu: float = 2.0
-    r: int = 1
-    nu_list: tuple = ()
-    op: str = "S"
-    c: float = 0.0
-    quadrature_points: int = 8
-    allow_varying_moments: bool = False
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(d.items())}
+_SCHEMA = 2
+_GRID = "-2:2:257"
+# Each command's flag defaults, typed as the flag's converter types a value.
+# An empty list value (--w "") means the default too.  A flag not listed
+# defaults to None: --output (stdout), --interval (window mode) and --window
+# (the per-kernel default half-width).
+_DEFAULTS = {
+    "list": {},
+    "kernel-check": {"fmt": "json", "mu": 2.0, "r": 1},
+    "moments": {"fmt": "json", "nu_list": (0.0, 1.0, 2.0)},
+    "reconstruct": {"fmt": "json", "w_list": (8.0,), "grid": _GRID, "op": "S", "c": 0.0,
+                    "quadrature_points": 8},
+    "converge": {"fmt": "json", "w_list": (4.0, 8.0, 16.0, 32.0), "grid": _GRID},
+    "rate": {"fmt": "json", "w_list": (8.0, 16.0, 32.0), "grid": _GRID},
+    "voronovskaja": {"fmt": "json", "w_list": (8.0, 16.0, 32.0), "grid": _GRID, "r": 1},
+    "suite": {"fmt": "json", "kernels": ("bspline3", "gauss1"), "seed": 0},
+}
 
 
 def _parse_grid(spec: str) -> LogGrid:
@@ -129,8 +116,18 @@ def _write_atomic(path: str, data: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    out = _resolve_output(config.output)
+def _config(args: argparse.Namespace) -> dict:
+    """The artifact's config: the command, the schema and the command's resolved flags."""
+    return {**vars(args), "schema": _SCHEMA}
+
+
+def _say(args: argparse.Namespace, line: str) -> None:
+    """A summary line: on stdout beside --output, else on stderr, as stdout is the artifact."""
+    print(line, file=sys.stderr if args.output is None else sys.stdout)
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    out = _resolve_output(args.output)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -138,22 +135,27 @@ def _emit(config: RunConfig, text: str) -> None:
         print(f"wrote {out}")
 
 
-def _json_payload(config: RunConfig, results) -> str:
+def _json_payload(args: argparse.Namespace, results) -> str:
     """Strict JSON: a non-finite float that reaches here raises ValueError (exit 2)."""
-    payload = {"config": config.to_dict(), "results": results}
+    payload = {"config": _config(args), "results": results}
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _csv_payload(config: RunConfig, header: list, rows: list) -> str:
-    lines = [f"# config: {json.dumps(config.to_dict(), sort_keys=True, allow_nan=False)}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_f17(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_lines(header: list, rows: list) -> str:
+    return "".join(",".join(map(_f17, row)) + "\n" for row in [header, *rows])
 
 
-def _md_payload(config: RunConfig, body: str) -> str:
-    return f"<!-- config: {json.dumps(config.to_dict(), sort_keys=True, allow_nan=False)} -->\n\n{body}"
+def _md_lines(header: list, rows: list) -> str:
+    return "".join(f"| {' | '.join(map(_f17, row))} |\n" for row in [header, ["---"] * len(header), *rows])
+
+
+def _csv_payload(args: argparse.Namespace, header: list, rows: list) -> str:
+    config = json.dumps(_config(args), sort_keys=True, allow_nan=False)
+    return f"# config: {config}\n" + _csv_lines(header, rows)
+
+
+def _md_payload(args: argparse.Namespace, body: str) -> str:
+    return f"<!-- config: {json.dumps(_config(args), sort_keys=True, allow_nan=False)} -->\n\n{body}"
 
 
 def list_registries() -> str:
@@ -167,41 +169,47 @@ def list_registries() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sampling_config(config: RunConfig, w: float) -> SamplingConfig:
-    return SamplingConfig(
-        w=w,
-        interval=config.interval,
-        window_half_width=config.window,
-        quadrature_points=config.quadrature_points,
-    )
-
-
-def _check_lines(checks) -> None:
+def _check_lines(args: argparse.Namespace, checks) -> None:
     for c in checks:
         if not c.hypothesis_met:
             status = "hypothesis-not-met"
         else:
             status = "ok" if c.holds else "VIOLATED"
         wit = f" witness={c.witness:.6g}" if c.witness is not None else ""
-        print(f"[{status}] {c.bound_name}: lhs={c.lhs:.6g} rhs={c.rhs:.6g}{wit}")
+        _say(args, f"[{status}] {c.bound_name}: lhs={c.lhs:.6g} rhs={c.rhs:.6g}{wit}")
 
 
-def _checks_exit(checks) -> int:
-    return 1 if any(c.hypothesis_met and not c.holds for c in checks) else 0
-
-
-def _emit_checks(config: RunConfig, checks) -> None:
-    if config.fmt == "csv":
+def _checks_payload(args: argparse.Namespace, checks) -> str:
+    if args.fmt == "csv":
         header = ["bound_name", "lhs", "rhs", "holds", "slack", "witness", "hypothesis_met"]
         rows = [
             [c.bound_name, c.lhs, c.rhs, c.holds, c.slack, c.witness, c.hypothesis_met]
             for c in checks
         ]
-        _emit(config, _csv_payload(config, header, rows))
-    elif config.fmt == "md":
-        _emit(config, _md_payload(config, analysis.checks_to_markdown(checks)))
-    else:
-        _emit(config, _json_payload(config, [c.to_dict() for c in checks]))
+        return _csv_payload(args, header, rows)
+    if args.fmt == "md":
+        return _md_payload(args, analysis.checks_to_markdown(checks))
+    return _json_payload(args, [c.to_dict() for c in checks])
+
+
+def _report(args: argparse.Namespace, checks) -> int:
+    """Write the checks' summary lines and artifact; exit 1 if one is violated."""
+    _check_lines(args, checks)
+    _emit(args, _checks_payload(args, checks))
+    return 1 if any(c.hypothesis_met and not c.holds for c in checks) else 0
+
+
+_TABLE_HEADER = ["w", "sup_abs_error", "weighted_sup_error", "grid", "fitted_order"]
+
+
+def _table_rows(table) -> list:
+    """One row per rate of a convergence table, in `_TABLE_HEADER`'s columns."""
+    return [[r.w, r.sup_abs_error, r.weighted_sup_error, r.grid, table.fitted_order] for r in table.rows]
+
+
+def _series(args: argparse.Namespace) -> tuple:
+    """The kernel, function and grid of a command that evaluates a series."""
+    return get_kernel(args.kernel), get_function(args.function), _parse_grid(args.grid)
 
 
 # --------------------------------------------------------------------------
@@ -209,22 +217,23 @@ def _emit_checks(config: RunConfig, checks) -> None:
 # --------------------------------------------------------------------------
 
 
-def _cmd_kernel_check(config: RunConfig) -> int:
-    kernel = get_kernel(config.kernel)
-    report = check_kernel_conditions(kernel, config.mu, config.r)
-    print(
+def _cmd_kernel_check(args: argparse.Namespace) -> int:
+    kernel = get_kernel(args.kernel)
+    report = check_kernel_conditions(kernel, args.mu, args.r)
+    _say(
+        args,
         f"kernel-check {kernel.name}: chi1={'yes' if report.chi1_holds else 'no'} "
         f"chi2={'yes' if report.chi2_holds else 'no'} (eta={report.eta:.6g}) "
-        f"chi3={'yes' if report.chi3_holds else 'no'}"
+        f"chi3={'yes' if report.chi3_holds else 'no'}",
     )
-    _emit(config, _json_payload(config, report.to_dict()))
+    _emit(args, _json_payload(args, report.to_dict()))
     return 0
 
 
-def _cmd_moments(config: RunConfig) -> int:
-    kernel = get_kernel(config.kernel)
+def _cmd_moments(args: argparse.Namespace) -> int:
+    kernel = get_kernel(args.kernel)
     rows = []
-    for nu in config.nu_list or _MOMENT_ORDERS:
+    for nu in args.nu_list:
         try:
             est = discrete_absolute_moment_estimate(kernel, nu)
             rows.append(
@@ -236,7 +245,7 @@ def _cmd_moments(config: RunConfig) -> int:
                     "divergent": False,
                 }
             )
-            print(f"m_{nu:g}({kernel.name}) = {est.value:.12g} (tail bound {est.tail_bound:.3g})")
+            _say(args, f"m_{nu:g}({kernel.name}) = {est.value:.12g} (tail bound {est.tail_bound:.3g})")
         except DivergentMomentError as exc:
             rows.append(
                 {
@@ -247,100 +256,93 @@ def _cmd_moments(config: RunConfig) -> int:
                     "witness_k": exc.witness_k,
                 }
             )
-            print(f"m_{nu:g}({kernel.name}) divergent: witness u={exc.witness_u:.6g} k={exc.witness_k}")
-    if config.fmt == "csv":
+            _say(args, f"m_{nu:g}({kernel.name}) divergent: witness u={exc.witness_u:.6g} k={exc.witness_k}")
+    if args.fmt == "csv":
         header = ["nu", "value", "half_width", "tail_bound", "divergent", "witness_u", "witness_k"]
-        _emit(config, _csv_payload(config, header, [[r.get(k) for k in header] for r in rows]))
+        _emit(args, _csv_payload(args, header, [[r.get(k) for k in header] for r in rows]))
     else:
-        _emit(config, _json_payload(config, rows))
+        _emit(args, _json_payload(args, rows))
     return 0
 
 
-def _cmd_reconstruct(config: RunConfig) -> int:
-    kernel = get_kernel(config.kernel)
-    f = get_function(config.function)
-    grid = _parse_grid(config.grid)
-    if len(config.w_list) > 1:
-        raise ConfigurationError(f"reconstruct takes one sampling rate, got {len(config.w_list)}")
-    w = config.w_list[0] if config.w_list else 8.0
-    rows = evaluate_on_grid(config.op, f, kernel, _sampling_config(config, w), grid, c=config.c)
+def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    kernel, f, grid = _series(args)
+    if len(args.w_list) > 1:
+        raise ConfigurationError(f"reconstruct takes one sampling rate, got {len(args.w_list)}")
+    [w] = args.w_list
+    config = SamplingConfig(
+        w=w, interval=args.interval, window_half_width=args.window, quadrature_points=args.quadrature_points
+    )
+    rows = evaluate_on_grid(args.op, f, kernel, config, grid, c=args.c)
     worst = max(filter(math.isfinite, rows.weighted_error.tolist()), default=math.nan)
-    print(
-        f"reconstruct {config.op} function={f.name} kernel={kernel.name} w={w:g}: "
-        f"{len(rows)} points, max weighted error {worst:.6g}"
+    _say(
+        args,
+        f"reconstruct {args.op} function={f.name} kernel={kernel.name} w={w:g}: "
+        f"{len(rows)} points, max weighted error {worst:.6g}",
     )
     header = ["x", "log_x", "value", "error_vs_f", "weighted_error"]
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = [dict({k: _safe(getattr(r, k)) for k in header}, note=r.note) for r in rows]
-        _emit(config, _json_payload(config, payload))
+        _emit(args, _json_payload(args, payload))
     else:
-        _emit(config, _csv_payload(config, header, [[getattr(r, k) for k in header] for r in rows]))
+        _emit(args, _csv_payload(args, header, [[getattr(r, k) for k in header] for r in rows]))
     return 0
 
 
-def _cmd_converge(config: RunConfig) -> int:
-    kernel = get_kernel(config.kernel)
-    f = get_function(config.function)
-    grid = _parse_grid(config.grid or "-2:2:257")
-    base = _sampling_config(config, config.w_list[0] if config.w_list else 4.0)
-    table = analysis.convergence_experiment(f, kernel, config.w_list or (4, 8, 16, 32), grid, base)
+def _cmd_converge(args: argparse.Namespace) -> int:
+    kernel, f, grid = _series(args)
+    base = SamplingConfig(w=args.w_list[0], interval=args.interval, window_half_width=args.window)
+    table = analysis.convergence_experiment(f, kernel, args.w_list, grid, base)
     for row in table.rows:
-        print(
+        _say(
+            args,
             f"w={row.w:g}: sup error {row.sup_abs_error:.6g}, "
-            f"weighted sup error {row.weighted_sup_error:.6g}"
+            f"weighted sup error {row.weighted_sup_error:.6g}",
         )
     if table.fitted_order is not None:
-        print(f"fitted order: {table.fitted_order:.3f}")
-    if config.fmt == "csv":
-        header = ["w", "sup_abs_error", "weighted_sup_error", "grid", "fitted_order"]
-        rows = [
-            [r.w, r.sup_abs_error, r.weighted_sup_error, r.grid, table.fitted_order]
-            for r in table.rows
-        ]
-        _emit(config, _csv_payload(config, header, rows))
+        _say(args, f"fitted order: {table.fitted_order:.3f}")
+    if args.fmt == "csv":
+        _emit(args, _csv_payload(args, _TABLE_HEADER, _table_rows(table)))
     else:
-        _emit(config, _json_payload(config, table.to_dict()))
+        _emit(args, _json_payload(args, table.to_dict()))
     return 0
 
 
-def _cmd_rate(config: RunConfig) -> int:
-    kernel = get_kernel(config.kernel)
-    f = get_function(config.function)
-    grid = _parse_grid(config.grid or "-2:2:257")
-    checks = analysis.verify_quantitative_rate(f, kernel, config.w_list or (8, 16, 32), grid)
-    _check_lines(checks)
-    _emit_checks(config, checks)
-    return _checks_exit(checks)
+def _cmd_rate(args: argparse.Namespace) -> int:
+    kernel, f, grid = _series(args)
+    return _report(args, analysis.verify_quantitative_rate(f, kernel, args.w_list, grid))
 
 
-def _cmd_voronovskaja(config: RunConfig) -> int:
-    kernel = get_kernel(config.kernel)
-    f = get_function(config.function)
-    grid = _parse_grid(config.grid or "-2:2:257")
+def _cmd_voronovskaja(args: argparse.Namespace) -> int:
+    kernel, f, grid = _series(args)
     checks = analysis.voronovskaja_check(
         f,
         kernel,
-        config.r,
-        config.w_list or (8, 16, 32),
+        args.r,
+        args.w_list,
         grid,
-        require_constant_moments=not config.allow_varying_moments,
+        require_constant_moments=not args.allow_varying_moments,
     )
-    _check_lines(checks)
-    _emit_checks(config, checks)
-    return _checks_exit(checks)
+    return _report(args, checks)
 
 
-def _cmd_suite(config: RunConfig) -> int:
-    names = config.kernels or _SUITE_KERNELS
-    result = analysis.run_suite(names, seed=config.seed)
-    _check_lines(result.checks)
+def _cmd_suite(args: argparse.Namespace) -> int:
+    result = analysis.run_suite(args.kernels, seed=args.seed)
+    _check_lines(args, result.checks)
     for table in result.tables:
         order = f"{table.fitted_order:.3f}" if table.fitted_order is not None else "n/a"
-        print(f"convergence {table.function_name}/{table.kernel_name}: fitted order {order}")
-    if config.fmt == "json":
-        _emit(config, _json_payload(config, result.to_dict()))
+        _say(args, f"convergence {table.function_name}/{table.kernel_name}: fitted order {order}")
+    # csv and md: the checks, a blank line, then the convergence tables
+    header = ["function_name", "kernel_name", *_TABLE_HEADER]
+    rows = [[t.function_name, t.kernel_name, *row] for t in result.tables for row in _table_rows(t)]
+    if args.fmt == "json":
+        text = _json_payload(args, result.to_dict())
+    elif args.fmt == "csv":
+        text = _checks_payload(args, result.checks) + "\n" + _csv_lines(header, rows)
     else:
-        _emit_checks(config, result.checks)
+        counts = f"violations: {len(result.violations)}, hypothesis failures: {len(result.hypothesis_failures)}"
+        text = _checks_payload(args, result.checks) + "\n" + _md_lines(header, rows) + f"\n{counts}\n"
+    _emit(args, text)
     return 1 if result.violations else 0
 
 
@@ -355,17 +357,14 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one resolved command; returns the process exit code."""
-    if config.command == "list":
+def run(args: argparse.Namespace) -> int:
+    """Dispatch one `build_parser()` namespace, its empty list values resolved
+    as `main` resolves them; returns the process exit code."""
+    if args.command == "list":
         sys.stdout.write(list_registries())
         return 0
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return 2
     try:
-        return handler(config)
+        return _COMMANDS[args.command](args)
     except HypothesisNotMetError as exc:
         print(f"hypothesis not met: {exc}", file=sys.stderr)
         return 3
@@ -380,11 +379,8 @@ def run(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser; each namespace it returns holds RunConfig fields only.
-
-    A flag left out is left out of the namespace, so RunConfig's default
-    applies; only `--nu` and `--kernels` have command-specific defaults.
-    """
+    """The CLI parser; a namespace it returns holds `command` and that
+    subcommand's dests, a flag left out taking its `_DEFAULTS` value."""
     parser = argparse.ArgumentParser(
         prog="expsampling",
         description="Exponential sampling operators: kernel checks, reconstructions and verification suites.",
@@ -392,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary):
-        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(**_DEFAULTS[name])
+        return p
 
     def common(p, formats, series=False, domain=False):
         p.add_argument("--kernel", required=True, help="kernel registry name")
@@ -416,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("moments", "scan discrete absolute moments")
     common(p, ("csv", "json"))
-    p.add_argument("--nu", dest="nu_list", metavar="NU", type=_floats, default=_MOMENT_ORDERS,
-                   help="comma-separated moment orders")
+    p.add_argument("--nu", dest="nu_list", metavar="NU", type=_floats, help="comma-separated moment orders")
 
     p = command("reconstruct", "evaluate one operator over a grid")
     common(p, ("csv", "json"), series=True, domain=True)
@@ -441,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("suite", "run the verification suite")
-    p.add_argument("--kernels", type=_names, default=_SUITE_KERNELS, help="comma-separated kernel names")
+    p.add_argument("--kernels", type=_names, help="comma-separated kernel names")
     p.add_argument("--output")
     p.add_argument("--format", dest="fmt", choices=("csv", "json", "md"))
     p.add_argument("--seed", type=int)
@@ -478,7 +475,9 @@ def main(argv=None) -> int:
         args = _shared_parser().parse_args(_merge_value_flags(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code
-    return run(RunConfig(**vars(args)))
+    empty = {k: _DEFAULTS[args.command][k] for k, v in vars(args).items() if v == ()}
+    vars(args).update(empty)  # an empty list value means the command's default
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ import os
 import pytest
 
 from expsampling import cli
-from expsampling.cli import RunConfig, _csv_payload, _md_payload, build_parser, list_registries, main
-from expsampling.errors import ConfigurationError
+from expsampling.cli import _csv_payload, _md_payload, build_parser, list_registries, main
 from expsampling.operators import OPERATOR_TAGS
 
 
@@ -47,16 +46,16 @@ class TestKernelCheck:
         assert payload["config"]["kernel"] == "bspline3"
 
     def test_verdicts_do_not_fail_the_run(self, capsys):
-        code, out, _ = run_cli(["kernel-check", "--kernel", "bspline2"], capsys)
+        code, _, err = run_cli(["kernel-check", "--kernel", "bspline2"], capsys)
         assert code == 0
-        assert "chi2=no" in out
+        assert "chi2=no" in err
 
 
 class TestMoments:
     def test_divergent_reported(self, capsys):
-        code, out, _ = run_cli(["moments", "--kernel", "linc0", "--nu", "0,2"], capsys)
+        code, _, err = run_cli(["moments", "--kernel", "linc0", "--nu", "0,2"], capsys)
         assert code == 0
-        assert "divergent" in out
+        assert "divergent" in err
 
 
     @pytest.mark.parametrize("args", [["--kernel", "bspline3"], ["--kernel", "linc0", "--nu", "0,2"]])
@@ -133,6 +132,15 @@ class TestReconstruct:
         )
         assert code == 2
         assert "grid" in err
+
+    def test_grid_defaults_like_the_other_series_commands(self, tmp_path, capsys):
+        # formerly an AttributeError traceback and exit 1
+        out_file = tmp_path / "rec.json"
+        args = ["reconstruct", "--function", "weight", "--kernel", "bspline3", "--output", str(out_file)]
+        assert run_cli(args, capsys)[0] == 0
+        payload = json.loads(out_file.read_text())
+        assert (payload["config"]["grid"], payload["config"]["w_list"]) == ("-2:2:257", [8.0])
+        assert len(payload["results"]) == 257
 
     def test_more_than_one_rate_is_a_usage_error(self, tmp_path, capsys):
         # formerly the first rate was used, and the artifact recorded both
@@ -267,134 +275,118 @@ class TestNonFiniteDomain:
         assert not out_file.exists()
 
 
-# The former parser and resolver, kept verbatim as the oracle of config
-# resolution: argparse filled every default and `_to_runconfig` repeated
-# RunConfig's defaults in getattr fallbacks.
-
-
-def _oracle_parse_floats(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t != "")
-
-
-def oracle_build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="expsampling")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, formats, series=False, domain=False):
-        p.add_argument("--kernel", required=True)
-        if series:
-            p.add_argument("--function", required=True)
-            p.add_argument("--w", default=None)
-            p.add_argument("--grid", default=None)
-        if domain:
-            p.add_argument("--interval", default=None)
-            p.add_argument("--window", type=int, default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", dest="fmt", choices=formats, default="json")
-
-    sub.add_parser("list")
-    p = sub.add_parser("kernel-check")
-    common(p, ("json",))
-    p.add_argument("--mu", type=float, default=2.0)
-    p.add_argument("--r", type=int, default=1)
-    p = sub.add_parser("moments")
-    common(p, ("csv", "json"))
-    p.add_argument("--nu", default="0,1,2")
-    p = sub.add_parser("reconstruct")
-    common(p, ("csv", "json"), series=True, domain=True)
-    p.add_argument("--op", choices=OPERATOR_TAGS, default="S")
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--quad-points", dest="quadrature_points", type=int, default=8)
-    p = sub.add_parser("converge")
-    common(p, ("csv", "json"), series=True, domain=True)
-    p = sub.add_parser("rate")
-    common(p, ("csv", "json", "md"), series=True)
-    p = sub.add_parser("voronovskaja")
-    common(p, ("csv", "json", "md"), series=True)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--allow-varying-moments", action="store_true")
-    p = sub.add_parser("suite")
-    p.add_argument("--kernels", default="bspline3,gauss1")
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json", "md"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    return parser
-
-
-def oracle_to_runconfig(args: argparse.Namespace) -> RunConfig:
-    interval = None
-    if getattr(args, "interval", None):
-        parts = _oracle_parse_floats(args.interval)
-        if len(parts) != 2:
-            raise ConfigurationError(f"interval must be 'a,b', got {args.interval!r}")
-        interval = parts
-    return RunConfig(
-        command=args.command,
-        kernel=getattr(args, "kernel", None),
-        kernels=tuple(t for t in getattr(args, "kernels", "").split(",") if t),
-        function=getattr(args, "function", None),
-        w_list=_oracle_parse_floats(args.w) if getattr(args, "w", None) else (),
-        interval=interval,
-        window=getattr(args, "window", None),
-        grid=getattr(args, "grid", None),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "fmt", "json"),
-        seed=getattr(args, "seed", 0),
-        mu=getattr(args, "mu", 2.0),
-        r=getattr(args, "r", 1),
-        nu_list=_oracle_parse_floats(args.nu) if getattr(args, "nu", None) else (),
-        op=getattr(args, "op", "S"),
-        c=getattr(args, "c", 0.0),
-        quadrature_points=getattr(args, "quadrature_points", 8),
-        allow_varying_moments=getattr(args, "allow_varying_moments", False),
-    )
-
-
-_SERIES = {"--w": "8,16", "--grid": "-1:1:5"}
-_DOMAIN = {"--interval": "0.5,2", "--window": "7"}
-# command -> (required arguments, {optional flag: value, None for a switch})
+_OUTPUT = {"--output": ("out.txt", "output", "out.txt")}
+_SERIES = {"--w": ("8,16", "w_list", [8.0, 16.0]), "--grid": ("-1:1:5", "grid", "-1:1:5")}
+_DOMAIN = {"--interval": ("0.5,2", "interval", [0.5, 2.0]), "--window": ("7", "window", 7)}
+_DEFAULT_SERIES = {"grid": "-2:2:257", "output": None, "fmt": "json"}
+# command -> (required arguments, recorded config with no optional flag,
+#             {optional flag: (its argument, None for a switch; dest; recorded value)})
 COMMAND_FLAGS = {
-    "list": ([], {}),
-    "kernel-check": (["--kernel", "bspline3"], {"--mu": "5", "--r": "3"}),
-    "moments": (["--kernel", "bspline3"], {"--nu": "0,0.5,2", "--format": "csv"}),
+    "list": ([], {}, {}),
+    "kernel-check": (
+        ["--kernel", "bspline3"],
+        {"kernel": "bspline3", "mu": 2.0, "r": 1, "output": None, "fmt": "json"},
+        {"--mu": ("5", "mu", 5.0), "--r": ("3", "r", 3)},
+    ),
+    "moments": (
+        ["--kernel", "bspline3"],
+        {"kernel": "bspline3", "nu_list": [0.0, 1.0, 2.0], "output": None, "fmt": "json"},
+        {"--nu": ("0,0.5,2", "nu_list", [0.0, 0.5, 2.0]), "--format": ("csv", "fmt", "csv")},
+    ),
     "reconstruct": (
         ["--kernel", "gauss1", "--function", "weight"],
-        {"--w": "16", "--grid": "-1:1:5", **_DOMAIN, "--format": "csv", "--op": "MG", "--c": "0.5",
-         "--quad-points": "4"},
+        {"kernel": "gauss1", "function": "weight", "w_list": [8.0], **_DEFAULT_SERIES, "interval": None,
+         "window": None, "op": "S", "c": 0.0, "quadrature_points": 8},
+        {"--w": ("16", "w_list", [16.0]), "--grid": ("-1:1:5", "grid", "-1:1:5"), **_DOMAIN,
+         "--format": ("csv", "fmt", "csv"), "--op": ("MG", "op", "MG"), "--c": ("0.5", "c", 0.5),
+         "--quad-points": ("4", "quadrature_points", 4)},
     ),
-    "converge": (["--kernel", "bspline3", "--function", "weight"], {**_SERIES, **_DOMAIN, "--format": "csv"}),
-    "rate": (["--kernel", "bspline3", "--function", "weight"], {**_SERIES, "--format": "md"}),
+    "converge": (
+        ["--kernel", "bspline3", "--function", "weight"],
+        {"kernel": "bspline3", "function": "weight", "w_list": [4.0, 8.0, 16.0, 32.0], **_DEFAULT_SERIES,
+         "interval": None, "window": None},
+        {**_SERIES, **_DOMAIN, "--format": ("csv", "fmt", "csv")},
+    ),
+    "rate": (
+        ["--kernel", "bspline3", "--function", "weight"],
+        {"kernel": "bspline3", "function": "weight", "w_list": [8.0, 16.0, 32.0], **_DEFAULT_SERIES},
+        {**_SERIES, "--format": ("md", "fmt", "md")},
+    ),
     "voronovskaja": (
         ["--kernel", "bspline3", "--function", "damped_log2"],
-        {**_SERIES, "--format": "csv", "--r": "2", "--allow-varying-moments": None},
+        {"kernel": "bspline3", "function": "damped_log2", "w_list": [8.0, 16.0, 32.0], **_DEFAULT_SERIES,
+         "r": 1, "allow_varying_moments": False},
+        {**_SERIES, "--format": ("csv", "fmt", "csv"), "--r": ("2", "r", 2),
+         "--allow-varying-moments": (None, "allow_varying_moments", True)},
     ),
-    "suite": ([], {"--kernels": "bspline3,linc0", "--format": "md", "--seed": "7"}),
+    "suite": (
+        [],
+        {"kernels": ["bspline3", "gauss1"], "output": None, "fmt": "json", "seed": 0},
+        {"--kernels": ("bspline3,linc0", "kernels", ["bspline3", "linc0"]), "--format": ("md", "fmt", "md"),
+         "--seed": ("7", "seed", 7)},
+    ),
 }
 
 
 def _resolution_cases():
-    for command, (required, optional) in COMMAND_FLAGS.items():
-        base = [command, *required]
+    """(argv, recorded config): each optional flag absent, present, all present,
+    and each list flag (or --interval) given an empty value, which records the default."""
+    for command, (required, recorded, optional) in COMMAND_FLAGS.items():
+        recorded = {"command": command, "schema": 2, **recorded}
         if command != "list":
-            optional = {**optional, "--output": "out.txt"}
-        flags = [[flag] if value is None else [flag, value] for flag, value in optional.items()]
-        yield base
-        yield from (base + flag for flag in flags)
-        yield base + [token for flag in flags for token in flag]
-        yield from (base + [flag, ""] for flag in ("--w", "--nu", "--kernels", "--interval") if flag in optional)
+            optional = {**optional, **_OUTPUT}
+
+        def case(flags):
+            tokens = [t for f in flags for t in ([f] if optional[f][0] is None else [f, optional[f][0]])]
+            return [command, *required, *tokens], {**recorded, **{optional[f][1]: optional[f][2] for f in flags}}
+
+        yield case([])
+        yield from (case([flag]) for flag in optional)
+        yield case(list(optional))
+        for flag in ("--w", "--nu", "--kernels", "--interval"):
+            if flag in optional:
+                yield [command, *required, flag, ""], recorded
+
+
+# one small JSON run of each command that writes an artifact
+JSON_COMMANDS = [
+    ["kernel-check", "--kernel", "bspline3"],
+    ["moments", "--kernel", "bspline3"],
+    ["reconstruct", "--kernel", "bspline3", "--function", "weight", "--grid", "-1:1:5"],
+    ["converge", "--kernel", "bspline3", "--function", "weight", "--grid", "-1:1:5"],
+    ["rate", "--kernel", "bspline3", "--function", "weight", "--w", "8", "--grid", "-1:1:5"],
+    ["voronovskaja", "--kernel", "bspline3", "--function", "damped_log2", "--w", "8", "--grid", "-1:1:5",
+     "--allow-varying-moments"],
+    ["suite", "--kernels", "bspline3"],
+]
+
+
+def _subcommand_dests(command):
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
 
 
 class TestConfigResolution:
-    """RunConfig's defaults and the parser's --nu and --kernels defaults resolve
-    every invocation to the config the former getattr fallbacks built."""
+    """The config an artifact records is the command, the schema and each of
+    the command's flags as resolved, with the command's own defaults."""
 
-    @pytest.mark.parametrize("argv", list(_resolution_cases()), ids=" ".join)
-    def test_config_matches_the_former_resolver(self, argv, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, recorded", [pytest.param(*case, id=" ".join(case[0])) for case in _resolution_cases()]
+    )
+    def test_recorded_config(self, argv, recorded, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "run", seen.append)
         main(argv)
-        want = oracle_to_runconfig(oracle_build_parser().parse_args(cli._merge_value_flags(argv)))
-        assert seen == [want]
+        # compared as JSON text, so an int where a float belongs shows
+        assert json.dumps(cli._config(*seen), sort_keys=True) == json.dumps(recorded, sort_keys=True)
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: argv[0])
+    def test_artifact_config_keys_are_the_parser_dests(self, argv, tmp_path, capsys):
+        out_file = tmp_path / "a.json"
+        assert run_cli(argv + ["--output", str(out_file)], capsys)[0] == 0
+        config = json.loads(out_file.read_text())["config"]
+        assert set(config) == {"command", "schema"} | _subcommand_dests(argv[0])
+        assert (config["command"], config["schema"]) == (argv[0], 2)
 
 
 class TestNonFiniteInputs:
@@ -453,7 +445,7 @@ class TestNonFiniteDamping:
         self.assert_usage_error(self.reconstruct("csv", capsys, "-inf"), "-inf")
 
     def test_config_lines_are_strict_json(self):
-        config = RunConfig(command="rate", mu=math.nan)
+        config = argparse.Namespace(command="kernel-check", mu=math.nan)
         with pytest.raises(ValueError):
             _csv_payload(config, ["a"], [])
         with pytest.raises(ValueError):
@@ -521,13 +513,13 @@ class TestConverge:
 
 class TestExitCodes:
     def test_rate_ok(self, capsys):
-        code, out, _ = run_cli(
+        code, _, err = run_cli(
             ["rate", "--function", "weight", "--kernel", "bspline3", "--w", "8,16",
              "--grid", "-1:1:65"],
             capsys,
         )
         assert code == 0
-        assert "[ok]" in out
+        assert "[ok]" in err
 
     def test_rate_hypothesis_not_met(self, capsys):
         code, _, err = run_cli(
@@ -543,13 +535,29 @@ class TestExitCodes:
             capsys,
         )
         assert code == 3
-        code, out, _ = run_cli(
+        code, _, err = run_cli(
             ["voronovskaja", "--function", "damped_log2", "--kernel", "bspline3",
              "--w", "8", "--grid", "-1:1:33", "--allow-varying-moments"],
             capsys,
         )
         assert code == 0
-        assert "[ok]" in out
+        assert "[ok]" in err
+
+
+class TestStdoutIsTheArtifact:
+    """Without --output, stdout is the artifact and the summary lines go to stderr."""
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: argv[0])
+    def test_json_stdout_parses(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err
+        assert strict_json(out)["config"]["output"] is None
+
+    def test_csv_and_md_stdout_start_with_the_config(self, capsys):
+        code, out, err = run_cli(["suite", "--kernels", "bspline3", "--format", "md"], capsys)
+        assert code == 0 and out.startswith("<!-- config: ") and "[ok]" in err
+        code, out, err = run_cli(["moments", "--kernel", "linc0", "--nu", "0,2", "--format", "csv"], capsys)
+        assert code == 0 and out.startswith("# config: ") and "divergent" in err
 
 
 class TestSuite:
@@ -571,3 +579,34 @@ class TestSuite:
         ra = a.read_bytes().replace(b"a.json", b"X")
         rb = b.read_bytes().replace(b"b.json", b"X")
         assert ra == rb
+
+    def test_csv_and_md_carry_the_json_tables(self, tmp_path, capsys):
+        paths = {fmt: tmp_path / f"suite.{fmt}" for fmt in ("json", "csv", "md")}
+        for fmt, path in paths.items():
+            args = ["suite", "--kernels", "bspline3,gauss1", "--format", fmt, "--output", str(path)]
+            assert run_cli(args, capsys)[0] == 0
+        result = json.loads(paths["json"].read_text())["results"]
+        columns = ["w", "sup_abs_error", "weighted_sup_error", "grid"]
+        want = [
+            [t["function_name"], t["kernel_name"], *(row[k] for k in columns), t["fitted_order"]]
+            for t in result["tables"]
+            for row in t["rows"]
+        ]
+        assert len(want) == 8
+
+        def parse(cells):
+            return [cells[0], cells[1], *(float(c) for c in cells[2:5]), cells[5],
+                    float(cells[6]) if cells[6] else None]
+
+        checks, tail = paths["csv"].read_text().split("\n\n")
+        assert len(checks.splitlines()) == 2 + len(result["checks"])
+        lines = tail.splitlines()
+        assert lines[0] == "function_name,kernel_name,w,sup_abs_error,weighted_sup_error,grid,fitted_order"
+        assert [parse(line.split(",")) for line in lines[1:]] == want
+
+        md = paths["md"].read_text().split("\n\n")
+        assert md[-1] == (
+            f"violations: {result['n_violations']}, hypothesis failures: {result['n_hypothesis_failures']}\n"
+        )
+        rows = [line.strip("| ").split(" | ") for line in md[-2].splitlines()[2:]]
+        assert [parse(cells) for cells in rows] == want
