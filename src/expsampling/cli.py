@@ -83,6 +83,22 @@ def _interval(text: str) -> Optional[tuple]:
     return parts
 
 
+def _output(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _f17(v) -> str:
     if v is None:
         return ""
@@ -402,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         if domain:
             p.add_argument("--interval", type=_interval, help="compact domain a,b (interval mode)")
             p.add_argument("--window", type=int, help="truncation half-width (window mode)")
-        p.add_argument("--output", help="artifact path (default: stdout)")
+        p.add_argument("--output", type=_output, help="artifact path (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=formats)
 
     command("list", "list kernel and function registries")
@@ -439,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("suite", "run the verification suite")
     p.add_argument("--kernels", type=_names, help="comma-separated kernel names")
-    p.add_argument("--output")
+    p.add_argument("--output", type=_output)
     p.add_argument("--format", dest="fmt", choices=("csv", "json", "md"))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
 
     return parser
 

@@ -13,11 +13,14 @@ The index set bounds which samples an operator may use; the work per point
 scales with the kernel's support, or, for a kernel such as the Gaussian whose
 profile is exactly 0.0 beyond a zero radius, with that radius.  Every
 operator reduces over one lattice band per point, masked by the index set:
-S, I and E by sums, MG by joins.  E's damped sinc takes one sine per point,
-from the exact reduction r = w log x - n, n = round(w log x); a point with
-|r| <= 1e-12 max(1, |w log x|) is the lattice node n.  Grid evaluation
-returns its results as columns, with the rows built when a caller first reads
-them.
+S, I and E by sums, MG by joins.  The bands are built and reduced in blocks
+of rows holding about `_BLOCK_POINTS` entries (one row at least), so memory
+grows with the block, not with the number of points times the band width;
+the samples still span all active sets at once.  E's damped sinc takes one
+sine per point, from the exact reduction r = w log x - n, n = round(w log x);
+a point with |r| <= 1e-12 max(1, |w log x|) is the lattice node n.  Grid
+evaluation returns its results as columns, with the rows built when a caller
+first reads them.
 
 In window mode the truncated join/sum of a compactly supported kernel is
 exact; for the rest it omits the kernel's tail beyond the window.
@@ -42,7 +45,7 @@ from .errors import (
     EvaluationError,
 )
 from .kernels import Kernel, lin_kernel
-from .spaces import LogGrid, WeightedFunction
+from .spaces import _BLOCK_POINTS, LogGrid, WeightedFunction
 
 __all__ = [
     "SamplingConfig",
@@ -179,19 +182,19 @@ def take_samples(f: WeightedFunction, config: SamplingConfig, center_log: float 
 # --------------------------------------------------------------------------
 
 
-def _band(kernel: Kernel, config: SamplingConfig, vs: np.ndarray, damping=None):
-    """(first, chi, mask, active): row i holds k = first[i] + j, j < width.
+def _geometry(kernel: Kernel, config: SamplingConfig, vs: np.ndarray):
+    """(first, width, half, active, full): row i holds k = first[i] + j, j < width.
 
     The row is floor(w vs[i]) - h ... floor(w vs[i]) + h + 1, h = ceil(R) + 1
     for a kernel vanishing beyond offset R: it ends in zero-kernel columns, so
     a join over it sees a zero wherever the whole active set has one.  A
     kernel's zero radius counts as R where that band is narrower and still
     ends inside the active set: h + 1 <= the window half-width, or
-    2h + 2 < |J_w|.  Other kernels take the window, or all of J_w.
-    chi[i, j] = chi(e^{w vs[i] - k}), or E's damped sinc at `damping`; mask
-    marks the active set at vs[i]; `active` spans all active sets.
+    2h + 2 < |J_w|.  Other kernels take the window, or all of J_w.  `half` is
+    the window half-width (None in interval mode), `active` spans all active
+    sets, and `full` says that every band column is active.  No band is built.
     """
-    c = config.w * vs[:, None]
+    c = config.w * vs
     r = kernel.log_support_radius
     if config.interval is not None:
         active, half = index_set(config), None
@@ -204,20 +207,37 @@ def _band(kernel: Kernel, config: SamplingConfig, vs: np.ndarray, damping=None):
         if (h + 1 <= half) if half is not None else (2 * h + 2 < len(active)):
             r = z
     if r is None and half is None:
-        first, width = np.full(len(vs), active.start), len(active)
-    else:
-        h = math.ceil(half if r is None else r + 1)
-        first, width = np.floor(c[:, 0]).astype(np.int64) - h, 2 * h + 2
-        if half is None:  # a band that would miss J_w moves to touch its nearest end
-            first = np.minimum(np.maximum(first, active.start - width + 1), active.stop - 1)
-    cols = np.arange(width)
-    t = c - (first[:, None] + cols)
-    if half is None:
+        return np.full(len(vs), active.start), len(active), half, active, True
+    h = math.ceil(half if r is None else r + 1)
+    first, width = np.floor(c).astype(np.int64) - h, 2 * h + 2
+    if half is not None:  # a window row spans |w vs[i] - k| < h + 1
+        return first, width, half, active, h + 1 <= half
+    # a band that would miss J_w moves to touch its nearest end
+    first = np.minimum(np.maximum(first, active.start - width + 1), active.stop - 1)
+    return first, width, half, active, bool(first.min() >= active.start and first.max() + width <= active.stop)
+
+
+def _values(kernel: Kernel, c: np.ndarray, first: np.ndarray, width, half, active, full, damping=None):
+    """chi[i, j] = chi(e^{c[i] - k}), k = first[i] + j, or E's damped sinc at `damping`, and the
+    active-set mask (None when `full`) on the band rows at c = w vs; see `_geometry`."""
+    t = first.astype(float)[:, None] + np.arange(width, dtype=float)
+    np.subtract(c[:, None], t, out=t)
+    if full:
+        mask = None
+    elif half is None:
+        cols = np.arange(width)
         mask = (cols >= active.start - first[:, None]) & (cols < active.stop - first[:, None])
     else:
         mask = np.abs(t) <= half
-    chi = kernel.log_profile(t) if damping is None else _damped_sinc(c[:, 0], first, t, damping)
-    return first, chi, mask, active
+    chi = kernel.log_profile(t) if damping is None else _damped_sinc(c, first, t, damping)
+    return chi, mask
+
+
+def _band(kernel: Kernel, config: SamplingConfig, vs: np.ndarray, damping=None):
+    """(first, chi, mask, active) of all rows at vs at once; see `_geometry` and `_values`."""
+    first, width, half, active, full = _geometry(kernel, config, vs)
+    chi, mask = _values(kernel, config.w * vs, first, width, half, active, full, damping)
+    return first, chi, np.ones(chi.shape, bool) if mask is None else mask, active
 
 
 def _damped_sinc(c: np.ndarray, first: np.ndarray, t: np.ndarray, damping: float) -> np.ndarray:
@@ -240,34 +260,46 @@ def _damped_sinc(c: np.ndarray, first: np.ndarray, t: np.ndarray, damping: float
 
 
 def _series(operator: str, kernel: Kernel, config: SamplingConfig, vs: np.ndarray, values_of, damping=None):
-    """(values, den, unseen, first) of one operator over the band at vs.
+    """(values, den, unseen) of one operator over the band at vs.
 
     values_of(k0, k1) gives the samples (cell means for "I") at k0 <= k < k1,
     the active span; entries outside it are never active and read 0.
-    `unseen` marks active non-finite samples under a nonzero kernel value (any
-    value for "E": sinc zeros do not mask them); they reduce as 0.  MG returns
-    its numerator and denominator joins.
+    `unseen` maps a row to its first active index whose sample is non-finite
+    under a nonzero kernel value (any value for "E": sinc zeros do not mask
+    them), in row order; such samples reduce as 0.  MG returns its numerator
+    and denominator joins.  The rows go in blocks of about `_BLOCK_POINTS`
+    band entries, and no row's result depends on its block.
     """
-    first, chi, mask, active = _band(kernel, config, vs, damping)
-    lo, hi, width = int(first.min()), int(first.max()), chi.shape[1]
+    first, width, half, active, full = _geometry(kernel, config, vs)
+    lo, hi = int(first.min()), int(first.max())
     span = np.zeros(hi - lo + width)
     k0, k1 = max(lo, active.start), min(hi + width, active.stop)
     span[k0 - lo : k1 - lo] = values_of(k0, k1)
     windows = np.ndarray((hi - lo + 1, width), float, span, 0, span.strides * 2)  # row i: span[i : i + width]
-    fv = windows[first - lo] if hi > lo else span[None, :]
-    bad = ~np.isfinite(fv)
-    unseen = mask & bad & ((chi != 0.0) | (operator == "E")) if bad.any() else np.zeros_like(mask)
-    fv[bad] = 0.0
-    if operator == "MG":
-        return _join(chi * fv, mask), _join(chi, mask), unseen, first
-    terms = chi * fv
-    terms[~mask] = 0.0
-    return terms.sum(axis=1), None, unseen, first
+    c, n, step = config.w * vs, len(vs), max(1, _BLOCK_POINTS // width)
+    values, den, unseen = np.empty(n), np.empty(n) if operator == "MG" else None, {}
+    for b in range(0, n, step):
+        rows = slice(b, b + step)
+        chi, mask = _values(kernel, c[rows], first[rows], width, half, active, full, damping)
+        fv = windows[first[rows] - lo] if hi > lo else span[None, :]
+        bad = ~np.isfinite(fv)
+        if bad.any():
+            hit = bad & ((chi != 0.0) | (operator == "E")) & (True if mask is None else mask)
+            for i in np.nonzero(hit.any(axis=1))[0]:
+                unseen[b + i] = int(first[b + i]) + int(hit[i].argmax())
+            fv = np.where(bad, 0.0, fv)
+        if operator == "MG":
+            den[rows] = _join(chi, mask)
+        chi *= fv
+        if operator != "MG" and mask is not None:
+            chi[~mask] = 0.0
+        values[rows] = _join(chi, mask) if operator == "MG" else chi.sum(axis=1)
+    return values, den, unseen
 
 
-def _join(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise max of vals over the active set (last axis); a zero join reads +0."""
-    return np.where(mask, vals, -np.inf).max(axis=-1) + 0.0
+def _join(vals: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+    """Row-wise max of vals over the active set (last axis, all of it where mask is None); a zero join reads +0."""
+    return (vals if mask is None else np.where(mask, vals, -np.inf)).max(axis=-1) + 0.0
 
 
 def _as_log_values(grid: Union[LogGrid, Sequence[float]]) -> np.ndarray:
@@ -324,10 +356,9 @@ def _from_samples(operator: str, kernel: Kernel, samples: ExpSamples, vs: np.nda
         out[a - k0 : b - k0] = vals[a - k_min : b - k_min]
         return out
 
-    values, den, unseen, first = _series(operator, kernel, config, vs, lookup)
-    if unseen.any():
-        i, j = np.argwhere(unseen)[0]
-        k = int(first[i] + j)
+    values, den, unseen = _series(operator, kernel, config, vs, lookup)
+    if unseen:
+        k = next(iter(unseen.values()))
         raise EvaluationError(f"samples do not cover required lattice index k={k}", where=k)
     if den is not None:
         _require_denominator(kernel, config, vs, den)
@@ -338,7 +369,7 @@ def _require_denominator(kernel: Kernel, config: SamplingConfig, vs: np.ndarray,
     """Raise DegenerateDenominatorError at the first point whose join `den` is not above the floor."""
     if not np.all(den > _DENOMINATOR_FLOOR):
         i = int(np.argmin(den > _DENOMINATOR_FLOOR))
-        x = _x_of(float(vs[i]))
+        x = math.inf if vs[i] > _LOG_FLOAT_MAX else math.exp(vs[i])
         _, lo, hi = _window(kernel, config, float(vs[i]))
         raise DegenerateDenominatorError(
             f"max-product denominator {den[i]:.3g} at x={x:.6g}",
@@ -479,11 +510,6 @@ class GridResult(Sequence[GridPoint]):
         return rows
 
 
-def _x_of(v: float) -> float:
-    """x = e^v by math.exp, or inf where that overflows (v > log of the largest float)."""
-    return math.inf if v > _LOG_FLOAT_MAX else math.exp(v)
-
-
 def _grid_values(operator: str, f: WeightedFunction, kernel, config: SamplingConfig, vs: np.ndarray, c=0.0):
     """Values and row notes of one operator applied to f at log-points vs.
 
@@ -502,14 +528,15 @@ def _grid_values(operator: str, f: WeightedFunction, kernel, config: SamplingCon
         k = np.arange(k0, k1)
         return _cell_means(f, k, w, points) if operator == "I" else f.evaluate_log(k / w)
 
-    values, den, unseen, _ = _series(operator, kernel, config, vs, values_of, damping)
+    values, den, unseen = _series(operator, kernel, config, vs, values_of, damping)
     notes = [""] * len(vs)
     if den is not None:
         ok = den > _DENOMINATOR_FLOOR
         values = np.where(ok, values / np.where(ok, den, 1.0), np.nan)
         for i in np.nonzero(~ok)[0]:
             notes[i] = f"degenerate denominator {den[i]:.3g}"
-    failed = unseen.any(axis=1)
+    failed = np.zeros(len(vs), bool)
+    failed[list(unseen)] = True
     if operator in ("I", "E"):
         failed |= ~np.isfinite(values)
     values[failed] = np.nan
@@ -546,5 +573,6 @@ def evaluate_on_grid(
         werr = np.where(np.isfinite(err), err / (1.0 + vs * vs), np.nan)
     for i in np.nonzero(~finite)[0]:
         notes[i] = notes[i] or "non-finite value"
-    x = np.array([_x_of(v) for v in vs.tolist()])
+    x = np.fromiter(map(math.exp, np.minimum(vs, _LOG_FLOAT_MAX).tolist()), float, len(vs))
+    x[vs > _LOG_FLOAT_MAX] = math.inf
     return GridResult(x, vs, values, err, werr, tuple(notes))

@@ -9,6 +9,7 @@ the former per-row assembly of `evaluate_on_grid`, the oracle of its columns.
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,16 +18,26 @@ from hypothesis import strategies as st
 
 import expsampling as es
 from expsampling import DegenerateDenominatorError, ExpSamples, LogGrid, SamplingConfig
+from expsampling.kernels import lin_kernel
 from expsampling.operators import (
+    _DENOMINATOR_FLOOR,
+    _NONFINITE_NOTES,
     GridPoint,
     _as_log_values,
     _band,
+    _cell_means,
+    _damped_sinc,
+    _from_samples,
+    _geometry,
     _grid_values,
+    _require_denominator,
+    _series,
     default_half_width,
     evaluate_on_grid,
     index_set,
     max_product_series_on_grid,
 )
+from expsampling.spaces import _BLOCK_POINTS
 
 KERNELS = ("bspline1", "bspline2", "bspline3", "bspline4", "bspline5", "gauss1", "gauss05", "linc0", "linc1")
 SUM_RTOL = 1e-14
@@ -334,3 +345,258 @@ def test_gaussian_band_follows_its_zero_radius(config, width):
     assert chi.shape == (7, width)
     if width == 60:  # the band ends in zero-kernel columns inside the active set
         assert np.all(chi[:, [0, -1]] == 0.0) and np.all(mask[:, [0, -1]])
+
+
+# --------------------------------------------------------------------------
+# row blocks: the unblocked band of the former `_series` as the oracle
+# --------------------------------------------------------------------------
+
+
+def oracle_band(kernel, config, vs, damping=None):
+    """The former `_band`, all rows at once, verbatim."""
+    c = config.w * vs[:, None]
+    r = kernel.log_support_radius
+    if config.interval is not None:
+        active, half = index_set(config), None
+    else:
+        half = config.window_half_width or default_half_width(kernel, config.w)
+        active = range(math.ceil(float(c.min()) - half), math.floor(float(c.max()) + half) + 1)
+    z = kernel.zero_radius
+    if r is None and z is not None:
+        h = math.ceil(z + 1)
+        if (h + 1 <= half) if half is not None else (2 * h + 2 < len(active)):
+            r = z
+    if r is None and half is None:
+        first, width = np.full(len(vs), active.start), len(active)
+    else:
+        h = math.ceil(half if r is None else r + 1)
+        first, width = np.floor(c[:, 0]).astype(np.int64) - h, 2 * h + 2
+        if half is None:  # a band that would miss J_w moves to touch its nearest end
+            first = np.minimum(np.maximum(first, active.start - width + 1), active.stop - 1)
+    cols = np.arange(width)
+    t = c - (first[:, None] + cols)
+    if half is None:
+        mask = (cols >= active.start - first[:, None]) & (cols < active.stop - first[:, None])
+    else:
+        mask = np.abs(t) <= half
+    chi = kernel.log_profile(t) if damping is None else _damped_sinc(c[:, 0], first, t, damping)
+    return first, chi, mask, active
+
+
+def oracle_series(operator, kernel, config, vs, values_of, damping=None):
+    """The former unblocked `_series`, verbatim: (values, den, unseen, first), unseen (n, width)."""
+    first, chi, mask, active = oracle_band(kernel, config, vs, damping)
+    lo, hi, width = int(first.min()), int(first.max()), chi.shape[1]
+    span = np.zeros(hi - lo + width)
+    k0, k1 = max(lo, active.start), min(hi + width, active.stop)
+    span[k0 - lo : k1 - lo] = values_of(k0, k1)
+    windows = np.ndarray((hi - lo + 1, width), float, span, 0, span.strides * 2)  # row i: span[i : i + width]
+    fv = windows[first - lo] if hi > lo else span[None, :]
+    bad = ~np.isfinite(fv)
+    unseen = mask & bad & ((chi != 0.0) | (operator == "E")) if bad.any() else np.zeros_like(mask)
+    fv[bad] = 0.0
+    if operator == "MG":
+        return oracle_join(chi * fv, mask), oracle_join(chi, mask), unseen, first
+    terms = chi * fv
+    terms[~mask] = 0.0
+    return terms.sum(axis=1), None, unseen, first
+
+
+def oracle_join(vals, mask):
+    return np.where(mask, vals, -np.inf).max(axis=-1) + 0.0
+
+
+def oracle_from_samples(operator, kernel, samples, vs, config):
+    """The former `_from_samples` over the unblocked band, verbatim."""
+    vals, k_min = samples.value_array, samples.k_min
+
+    def lookup(k0, k1):  # NaN where no sample is given
+        out = np.full(k1 - k0, np.nan)
+        a = max(k0, k_min)
+        b = max(a, min(k1, k_min + len(vals)))
+        out[a - k0 : b - k0] = vals[a - k_min : b - k_min]
+        return out
+
+    values, den, unseen, first = oracle_series(operator, kernel, config, vs, lookup)
+    if unseen.any():
+        i, j = np.argwhere(unseen)[0]
+        k = int(first[i] + j)
+        raise es.EvaluationError(f"samples do not cover required lattice index k={k}", where=k)
+    if den is not None:
+        _require_denominator(kernel, config, vs, den)
+    return values, den
+
+
+def oracle_grid_values(operator, f, kernel, config, vs, c=0.0):
+    """The former `_grid_values` over the unblocked band, verbatim."""
+    if not math.isfinite(c):
+        raise es.ConfigurationError(f"damping exponent c must be finite, got {c!r}")
+    damping = None
+    if operator == "E":
+        kernel, damping = lin_kernel(c / config.w), c / config.w
+        config = config if config.interval is None else dataclasses.replace(config, interval=None)
+    w, points = config.w, config.quadrature_points
+
+    def values_of(k0, k1):
+        k = np.arange(k0, k1)
+        return _cell_means(f, k, w, points) if operator == "I" else f.evaluate_log(k / w)
+
+    values, den, unseen, _ = oracle_series(operator, kernel, config, vs, values_of, damping)
+    notes = [""] * len(vs)
+    if den is not None:
+        ok = den > _DENOMINATOR_FLOOR
+        values = np.where(ok, values / np.where(ok, den, 1.0), np.nan)
+        for i in np.nonzero(~ok)[0]:
+            notes[i] = f"degenerate denominator {den[i]:.3g}"
+    failed = unseen.any(axis=1)
+    if operator in ("I", "E"):
+        failed |= ~np.isfinite(values)
+    values[failed] = np.nan
+    for i in np.nonzero(failed)[0]:
+        notes[i] = _NONFINITE_NOTES.get(operator, "non-finite sample in active window")
+    return values, notes
+
+
+def same_bits(a, b):
+    return (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def band_inputs(operator, f, kernel, config, c):
+    """(kernel, config, values_of, damping) as `_grid_values` hands them to `_series`."""
+    damping = None
+    if operator == "E":
+        kernel, damping = lin_kernel(c / config.w), c / config.w
+        config = config if config.interval is None else dataclasses.replace(config, interval=None)
+    w, points = config.w, config.quadrature_points
+
+    def values_of(k0, k1):
+        k = np.arange(k0, k1)
+        return _cell_means(f, k, w, points) if operator == "I" else f.evaluate_log(k / w)
+
+    return kernel, config, values_of, damping
+
+
+def rows_per_block(operator, kernel, config, c=0.0):
+    kernel, config, _, _ = band_inputs(operator, None, kernel, config, c)
+    return max(1, _BLOCK_POINTS // _geometry(kernel, config, np.array([0.0]))[1])
+
+
+def assert_blocks_match_the_oracle(operator, f, kernel, config, vs, c=0.0):
+    kernel_b, config_b, values_of, damping = band_inputs(operator, f, kernel, config, c)
+    values, den, unseen = _series(operator, kernel_b, config_b, vs, values_of, damping)
+    want_values, want_den, want_unseen, first = oracle_series(operator, kernel_b, config_b, vs, values_of, damping)
+    assert same_bits(values, want_values) and same_bits(den, want_den), operator
+    hit = want_unseen.any(axis=1)
+    assert unseen == {int(i): int(first[i] + want_unseen[i].argmax()) for i in np.nonzero(hit)[0]}, operator
+    assert list(unseen) == sorted(unseen)  # row order, so the first entry is the first unseen (row, column)
+    got, got_notes = _grid_values(operator, f, kernel, config, vs, c)
+    want, want_notes = oracle_grid_values(operator, f, kernel, config, vs, c)
+    assert same_bits(got, want) and got_notes == want_notes, operator
+    return want_notes
+
+
+# (kernel, config, log range of the grid, start of a NaN hole in f) in
+# window, pinned-window and interval mode; zero-radius and all-of-J_w bands
+BLOCK_CASES = [
+    ("bspline3", SamplingConfig(w=8.0), (-1.0, 1.0), 0.8),
+    ("gauss1", SamplingConfig(w=8.0), (-1.0, 1.0), 0.8),
+    ("gauss1", SamplingConfig(w=16.0, window_half_width=5), (-1.0, 1.0), 0.8),
+    ("linc0", SamplingConfig(w=8.0, window_half_width=3), (-1.0, 1.0), 0.8),
+    ("bspline3", SamplingConfig(w=8.0, interval=(0.5, 2.0)), (-0.3, 1.5), 0.6),
+    ("gauss1", SamplingConfig(w=8.0, interval=(0.5, 2.0)), (-0.3, 1.5), 0.6),
+    ("bspline3", SamplingConfig(w=8.0, interval=(math.exp(0.25), math.exp(2.0))), (0.65, 1.2), 1.0),  # bands inside J_w
+    ("gauss05", SamplingConfig(w=8.0, interval=(math.exp(-10.0), math.exp(10.0))), (-11.0, 12.0), 9.0),
+]
+
+
+@pytest.mark.parametrize("kernel_name, config, span, hole", BLOCK_CASES)
+@pytest.mark.parametrize("operator", ("S", "I", "MG", "E"))
+def test_row_blocks_match_the_unblocked_band(kernel_name, config, span, hole, operator):
+    kernel, c = es.get_kernel(kernel_name), 0.3
+    rows = rows_per_block(operator, kernel, config, c)
+    f = signed_function(1.5, 7.0, 0.4, 0.2, hole, config.w)
+    for n in (rows - 1, rows, rows + 1, 3 * rows):
+        assert_blocks_match_the_oracle(operator, f, kernel, config, LogGrid(*span, n).log_values(), c)
+
+
+@pytest.mark.parametrize("operator", ("S", "I", "MG", "E"))
+def test_a_non_finite_sample_seen_only_by_a_later_block(operator):
+    # E's window reaches 64 / 8 = 8 in log x: the grid's first sixth, below -9.8, never sees the hole
+    kernel, config = es.get_kernel("bspline3"), SamplingConfig(w=8.0)
+    rows = rows_per_block(operator, kernel, config)
+    f = signed_function(1.5, 7.0, 0.4, 0.2, 0.8, 8.0)
+    notes = assert_blocks_match_the_oracle(operator, f, kernel, config, LogGrid(-12.0, 1.0, 3 * rows).log_values())
+    assert not any(notes[: rows // 2]) and any(notes[rows:])
+
+
+@pytest.mark.parametrize("operator", ("S", "I", "MG"))
+def test_degenerate_and_interval_end_rows_in_a_later_block(operator):
+    # rows past log b = 0.69 by more than the band join zero kernel values only
+    kernel, config = es.get_kernel("bspline3"), SamplingConfig(w=8.0, interval=(0.5, 2.0))
+    rows = rows_per_block(operator, kernel, config)
+    vs = LogGrid(-0.3, 1.5, 3 * rows).log_values()
+    notes = assert_blocks_match_the_oracle(operator, es.get_function("weight"), kernel, config, vs)
+    assert vs[rows] < math.log(2.0) and not any(notes[:rows])
+    if operator == "MG":
+        assert notes[-1] == "degenerate denominator 0"
+
+
+@pytest.mark.parametrize("operator", ("S", "I", "MG", "E"))
+def test_a_band_wider_than_a_block_takes_one_row_a_block(operator):
+    kernel = es.get_kernel("linc0")
+    configs = [SamplingConfig(w=8.0, window_half_width=10000)]  # 20,002 columns a row
+    if operator != "E":  # E takes a window in interval mode too
+        configs.append(SamplingConfig(w=10000.0, interval=(math.exp(-1.0), math.e)))  # all of J_w, 20,001 columns
+    for config in configs:
+        assert rows_per_block(operator, kernel, config) == 1
+        f = signed_function(1.0, 3.0, 0.1, 0.5, 0.3, config.w)
+        assert_blocks_match_the_oracle(operator, f, kernel, config, LogGrid(-0.5, 0.5, 5).log_values())
+
+
+@pytest.mark.parametrize(
+    "kernel_name, config",
+    [
+        ("bspline3", SamplingConfig(w=8.0)),
+        ("gauss1", SamplingConfig(w=8.0, window_half_width=4)),
+        ("bspline3", SamplingConfig(w=8.0, interval=(0.5, 2.0))),
+    ],
+)
+@pytest.mark.parametrize("operator", ("S", "MG"))
+def test_row_blocks_raise_like_the_unblocked_band(kernel_name, config, operator):
+    # samples end at k = 6, and J_w at k = 5: on the 3-block grid the first
+    # row that misses a sample, or whose MG join is degenerate, is past the first block
+    kernel = es.get_kernel(kernel_name)
+    samples = ExpSamples(8.0, {k: math.cos(k) + 1.5 for k in range(-40, 7)})
+    rows = rows_per_block(operator, kernel, config)
+    for n in (rows - 1, rows, rows + 1, 3 * rows):
+        vs = LogGrid(-0.5, 1.2, n).log_values()
+        outcomes = []
+        for run in (_from_samples, oracle_from_samples):
+            try:
+                outcomes.append(run(operator, kernel, samples, vs, config))
+            except es.ExpSamplingError as exc:
+                outcomes.append((type(exc), str(exc), exc.args))
+        got, want = outcomes
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            assert operator == "S" and config.interval is not None  # every other case raises
+
+
+@pytest.mark.parametrize(
+    "kernel_name, config, grid",
+    [
+        ("gauss1", SamplingConfig(w=8.0), LogGrid(-2.0, 2.0, 32769)),  # the unblocked band held 69.6 MB
+        ("linc0", SamplingConfig(w=4000.0, interval=(0.5, 2.0)), LogGrid(-0.6, 0.6, 257)),  # 82.7 MB
+    ],
+)
+def test_row_blocks_keep_memory_small(kernel_name, config, grid):
+    kernel, f = es.get_kernel(kernel_name), es.get_function("weight")
+    tracemalloc.start()
+    try:
+        evaluate_on_grid("MG", f, kernel, config, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000

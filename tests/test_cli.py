@@ -249,6 +249,23 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("usage:") and err.splitlines()[-1].endswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # formerly the summary line, then the rename's "[Errno 2] ... -> ''"
+            (["kernel-check", "--kernel", "bspline3", "--output", ""], "argument --output: expected a file path, got ''"),
+            (["suite", "--kernels", "bspline3", "--output", ""], "argument --output: expected a file path, got ''"),
+            # formerly numpy's bare "expected non-negative integer"
+            (["suite", "--kernels", "bspline3", "--seed", "-1"],
+             "argument --seed: expected a non-negative integer, got -1"),
+            (["suite", "--kernels", "bspline3", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        ],
+    )
+    def test_bad_scalar_value_names_its_flag(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and err.splitlines()[-1].endswith(f"error: {message}")
+
 
 class TestNonFiniteDomain:
     """A non-finite interval end or grid bound is one `error:` line, exit 2."""

@@ -88,6 +88,8 @@ def _cases():
     add(["kernel-check", "--kernel", "bspline3", "--format", "csv"], "usage.csv")
     add(["reconstruct", "--kernel", "nope", "--function", "weight", "--grid", "-1:1:5"], "unknown-kernel.json")
     add(["converge", "--kernel", "bspline3", "--function", "weight", "--interval", "0.5,inf"], "bad-interval.json")
+    add(["kernel-check", "--kernel", "bspline3", "--output", ""])
+    add(["suite", "--kernels", "bspline3", "--seed", "-1"], "negative-seed.json")
     add(["list"])
     # without --output: stdout is the artifact
     add(["kernel-check", "--kernel", "bspline3", "--mu", "5", "--r", "1"])
@@ -117,7 +119,7 @@ def run_case(argv, outdir):
         code = cli.main(list(argv))
     err.writelines(f"warning: {w.message}\n" for w in caught)
     path = Path(outdir, argv[argv.index("--output") + 1]) if "--output" in argv else None
-    artifact = path.read_bytes() if path is not None and path.exists() else None
+    artifact = path.read_bytes() if path is not None and path.is_file() else None
     return code, out.getvalue().replace(outdir, "$OUTDIR"), err.getvalue().replace(outdir, "$OUTDIR"), artifact
 
 
