@@ -1,7 +1,7 @@
 """Command-line runner with reproducible CSV/JSON/Markdown artifacts.
 
-Exit codes: 0 success, 1 at least one hypothesis-met check violated,
-2 usage error, 3 hypotheses of the requested experiment not met.
+Exit codes: 0 success, 1 a hypothesis-met check violated, 2 usage error
+or failed allocation, 3 hypotheses of the requested experiment not met.
 Identical invocations produce byte-identical artifacts, and every artifact
 embeds the command, the schema and the command's flags as resolved.  Each
 subcommand accepts only the flags and formats it uses; any other is a usage
@@ -384,8 +384,9 @@ def run(args: argparse.Namespace) -> int:
     except HypothesisNotMetError as exc:
         print(f"hypothesis not met: {exc}", file=sys.stderr)
         return 3
-    except (ConfigurationError, ValueError, ExpSamplingError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, ValueError, ExpSamplingError, OSError, MemoryError) as exc:
+        # numpy's failed allocations subclass MemoryError; a bare one has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

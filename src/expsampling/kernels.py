@@ -26,7 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergentMomentError
+from .errors import ConfigurationError, DivergentMomentError
+from .spaces import _BLOCK_POINTS
 
 __all__ = [
     "Kernel",
@@ -47,8 +48,8 @@ __all__ = [
     "register_kernel",
 ]
 
-_ROWS = 16  # lattice rows of 4096 u-points per block of the moment and tail-decay scans
 _U_POINTS = 4096  # resolution of the fractional-part grid for log u
+_ROWS = max(1, _BLOCK_POINTS // _U_POINTS)  # lattice rows per block of the moment and tail-decay scans
 _CHI3_REL = 1e-9  # chi3 allows a spread of _CHI3_REL (1 + |max|) over the u-scan
 _CACHE_SIZE = 2048  # memoised scans, keyed by (kind, kernel object, order)
 _PASS_ALGEBRAIC = 8  # highest algebraic order check_kernel_conditions scans in its first pass
@@ -97,6 +98,12 @@ class Kernel:
     claimed_mu: float
     description: str = ""
     zero_radius: Optional[float] = None
+
+    def __post_init__(self):
+        for name in ("log_support_radius", "zero_radius"):
+            radius = getattr(self, name)
+            if radius is not None and not 0.0 <= radius < math.inf:
+                raise ConfigurationError(f"{name} must be None or finite and >= 0, got {radius!r}")
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -158,13 +165,32 @@ class MomentReport:
 # --------------------------------------------------------------------------
 
 
-def _cardinal_bspline(s, order: int):
-    """Cardinal B-spline N_order on [0, order), by the Cox-de Boor recurrence."""
-    s = np.asarray(s, dtype=float)
-    if order == 1:
-        return ((s >= 0.0) & (s < 1.0)).astype(float)
-    m = order - 1
-    return (s * _cardinal_bspline(s, m) + (order - s) * _cardinal_bspline(s - 1.0, m)) / m
+def _cardinal_bspline(s, order: int, offset=None):
+    """Cardinal B-spline N_order on [0, order) at s + offset (at s if offset is None), by the
+    Cox-de Boor recurrence N_o(s) = (s N_{o-1}(s) + (o - s) N_{o-1}(s - 1.0)) / (o - 1), evaluated
+    level by level in place with the recursion's float operations: node j holds N_o at the
+    argument shifted j times, s + offset - 1.0 - ... - 1.0.  It takes order + 1 arrays the size
+    of s besides s, which it never writes."""
+    shape, x = np.shape(s), np.asarray(s, dtype=float).reshape(-1)  # a 0-d input as one entry
+    shift, right = np.empty_like(x), np.empty_like(x)
+
+    def shifted(count):  # each level recomputes the shifted arguments in one buffer
+        sj = x if offset is None else np.add(x, offset, out=shift)
+        yield sj
+        for _ in range(count - 1):
+            yield (sj := np.subtract(sj, 1.0, out=shift))
+
+    # level 1 (0 <= s < 1) as bools, read as exactly 0.0 and 1.0; level 2 allocates the floats
+    nodes = [np.equal(np.floor(sj, out=right), 0.0) for sj in shifted(order)]
+    for o in map(float, range(2, order + 1)):  # float scalars enter ufuncs faster than ints
+        for j, sj in enumerate(shifted(len(nodes) - 1)):
+            np.subtract(o, sj, out=right)
+            np.multiply(right, nodes[j + 1], out=right)
+            nodes[j] = np.multiply(sj, nodes[j], out=nodes[j] if o > 2 else None)
+            np.add(nodes[j], right, out=nodes[j])
+            np.divide(nodes[j], o - 1.0, out=nodes[j])
+        nodes.pop()
+    return nodes[0].astype(float, copy=False).reshape(shape)[()]
 
 
 def mellin_bspline(order: int) -> Kernel:
@@ -178,7 +204,7 @@ def mellin_bspline(order: int) -> Kernel:
     half = order / 2.0
 
     def profile(t, _n=order, _h=half):
-        return _cardinal_bspline(np.asarray(t, dtype=float) + _h, _n)
+        return _cardinal_bspline(t, _n, _h)
 
     return Kernel(
         name=f"bspline{order}",
@@ -280,13 +306,13 @@ def _scan(kernel: Kernel, terms, vs: np.ndarray, k0: int) -> list:
     """Join each term(chi(e^t), t), t = v - k, over k = k0 - h ... k0 + h at each v in vs.
 
     `terms` holds (term, what, order) triples; chi is evaluated once per
-    block of _ROWS rows for every term still scanning, and each term stops
-    where its scan alone would.  Returns per term (joins, h, settled), or its
-    DivergentMomentError unraised.  A kernel vanishing beyond offset R takes
-    h = ceil(R) + 1.  Otherwise the window widens by rings from h = 8 to
-    2048: the joins have settled when none moves by more than
-    1e-12 max(1, peak), and they diverge when the peak |join| grows by 1.5x
-    on three doublings in a row.  A join that is not finite diverges on
+    block of _ROWS rows (about _BLOCK_POINTS entries) for every term still
+    scanning, and each term stops where its scan alone would.  Returns per
+    term (joins, h, settled), or its DivergentMomentError unraised.  A kernel
+    vanishing beyond offset R takes h = ceil(R) + 1.  Otherwise the window
+    widens by rings from h = 8 to 2048: the joins have settled when none
+    moves by more than 1e-12 max(1, peak), and they diverge when the peak
+    |join| grows by 1.5x on three doublings in a row.  A join that is not finite diverges on
     either branch, witnessed at the peak point.  Zero joins read +0.
     """
 

@@ -66,6 +66,7 @@ __all__ = [
 
 _DENOMINATOR_FLOOR = 1e-300
 _NONCOMPACT_HALF_WIDTH = 64
+_MAX_QUAD_POINTS = 256  # leggauss builds a points x points matrix
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows beyond it
 
 
@@ -76,7 +77,7 @@ class SamplingConfig:
     `interval` switches on interval mode; `window_half_width` pins the
     truncation half-width in window mode (None defers to the per-kernel
     default, see `default_half_width`).  `quadrature_points` is the number of
-    Gauss-Legendre nodes per lattice cell in the Kantorovich series.
+    Gauss-Legendre nodes per lattice cell in the Kantorovich series (1..256).
     """
 
     w: float
@@ -98,8 +99,9 @@ class SamplingConfig:
                 )
         if self.window_half_width is not None and self.window_half_width < 1:
             raise ConfigurationError("window_half_width must be a positive integer")
-        if self.quadrature_points < 1:
-            raise ConfigurationError("quadrature_points must be a positive integer")
+        if not 1 <= self.quadrature_points <= _MAX_QUAD_POINTS:
+            raise ConfigurationError(f"quadrature_points must be in 1..{_MAX_QUAD_POINTS}, "
+                                     f"got {self.quadrature_points!r}")
 
 
 def _snap_to_integers(s: np.ndarray) -> np.ndarray:

@@ -528,6 +528,39 @@ class TestConverge:
         assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
 
 
+class TestFailedAllocation:
+    """A failed allocation is one `error:` line and exit 2, not a traceback and exit 1."""
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+                         "and data type float64"),
+             "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+             "and data type float64\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+    )
+    def test_memory_error_exits_2(self, exc, line, monkeypatch, tmp_path, capsys):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "kernel-check", fail)
+        out_file = tmp_path / "out.json"
+        assert run_cli(["kernel-check", "--kernel", "bspline3", "--output", str(out_file)], capsys) == (2, "", line)
+        assert not out_file.exists()
+
+    def test_quadrature_points_above_the_cap_exit_2_before_the_rule(self, monkeypatch, capsys):
+        def refuse(points):
+            raise AssertionError(f"leggauss asked for {points} points")
+
+        monkeypatch.setattr("numpy.polynomial.legendre.leggauss", refuse)
+        code, out, err = run_cli(["reconstruct", "--kernel", "bspline3", "--function", "weight", "--op", "I",
+                                  "--quad-points", "100000"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: quadrature_points must be in 1..256, got 100000\n"
+
+
 class TestExitCodes:
     def test_rate_ok(self, capsys):
         code, _, err = run_cli(

@@ -90,6 +90,9 @@ def _cases():
     add(["converge", "--kernel", "bspline3", "--function", "weight", "--interval", "0.5,inf"], "bad-interval.json")
     add(["kernel-check", "--kernel", "bspline3", "--output", ""])
     add(["suite", "--kernels", "bspline3", "--seed", "-1"], "negative-seed.json")
+    # refused before leggauss would ask for a 74.5 GiB matrix
+    add(["reconstruct", "--kernel", "bspline3", "--function", "weight", "--op", "I", "--quad-points", "100000"],
+        "quad-points-cap.json")
     add(["list"])
     # without --output: stdout is the artifact
     add(["kernel-check", "--kernel", "bspline3", "--mu", "5", "--r", "1"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expsampling as es
-from expsampling import DivergentMomentError
-from expsampling.kernels import Kernel, _moment_outcomes
+from expsampling import ConfigurationError, DivergentMomentError
+from expsampling.kernels import Kernel, _cardinal_bspline, _moment_outcomes
 
 
 # --- independent closed forms, derived by hand from the convolution pieces ---
@@ -481,3 +482,101 @@ def test_shared_pass_matches_one_term_passes(kernel, absolute, algebraic):
     assert shared == alone
     if kernel.name.startswith("linc"):
         assert any(isinstance(o, tuple) and len(o) == 4 for o in shared)  # a divergence was compared
+
+
+# --- the level-by-level B-spline against the recursion it replaced, bit for bit ---
+
+
+def recursive_cardinal_bspline(s, order: int):
+    """Cardinal B-spline N_order on [0, order), by the Cox-de Boor recurrence."""
+    s = np.asarray(s, dtype=float)
+    if order == 1:
+        return ((s >= 0.0) & (s < 1.0)).astype(float)
+    m = order - 1
+    return (s * recursive_cardinal_bspline(s, m) + (order - s) * recursive_cardinal_bspline(s - 1.0, m)) / m
+
+
+_KNOTS = np.arange(-2.0, 9.0)
+BSPLINE_ARGUMENTS = {
+    "random": np.random.default_rng(7).uniform(-1.0, 8.0, 4096),
+    "linspace": np.linspace(-1.0, 7.0, 2049),  # every knot, on a 1/256 step
+    "knots": np.concatenate([_KNOTS, np.nextafter(_KNOTS, -np.inf), np.nextafter(_KNOTS, np.inf)]),
+    "special": np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308]),
+    "block": np.random.default_rng(8).uniform(-1.0, 8.0, (4, 4096)),
+}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+class TestLevelByLevelBspline:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("name", BSPLINE_ARGUMENTS)
+    def test_matches_the_recursion_bit_for_bit(self, order, name):
+        s = BSPLINE_ARGUMENTS[name]
+        assert np.array_equal(_bits(_cardinal_bspline(s, order)), _bits(recursive_cardinal_bspline(s, order)))
+        # the profile's form: the offset added as the profile added it
+        half = order / 2.0
+        want = recursive_cardinal_bspline(np.asarray(s, dtype=float) + half, order)
+        assert np.array_equal(_bits(_cardinal_bspline(s, order, half)), _bits(want))
+        assert np.array_equal(_bits(es.mellin_bspline(order).log_profile(s)), _bits(want))
+
+    @pytest.mark.parametrize("s", [0.5, -0.0, 2.999, np.float64(1.25), np.array(3.5)])
+    def test_zero_dimensional_input(self, order, s):
+        got, want = _cardinal_bspline(s, order), recursive_cardinal_bspline(s, order)
+        assert type(got) is type(want) is np.float64 and _bits(got) == _bits(want)
+        got, want = _cardinal_bspline(s, order, 0.5), recursive_cardinal_bspline(np.asarray(s, dtype=float) + 0.5, order)
+        assert type(got) is type(want) is np.float64 and _bits(got) == _bits(want)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_input_is_not_written(self, order):
+        for s in BSPLINE_ARGUMENTS.values():
+            kept = s.copy()
+            _cardinal_bspline(s, order)
+            _cardinal_bspline(s, order, order / 2.0)
+            assert np.array_equal(_bits(s), _bits(kept))
+
+
+@pytest.mark.parametrize(
+    "field, radius",
+    [("log_support_radius", -1.0), ("log_support_radius", math.inf), ("log_support_radius", math.nan),
+     ("zero_radius", -5.0), ("zero_radius", math.inf), ("zero_radius", math.nan)],
+)
+def test_kernel_rejects_a_negative_or_non_finite_radius(field, radius):
+    # formerly S = 0 with no note, numpy's "strides is incompatible" error, or OverflowError
+    fields = {"log_support_radius": None, "zero_radius": None, field: radius}
+    with pytest.raises(ConfigurationError, match=field):
+        Kernel("bad", es.get_kernel("gauss1").log_profile, claimed_mu=math.inf, **fields)
+
+
+def test_kernel_accepts_finite_nonnegative_radii():
+    profile = es.get_kernel("gauss1").log_profile
+    assert Kernel("zero_radii", profile, 0.0, math.inf, zero_radius=0.0).log_support_radius == 0.0
+    assert dataclasses.replace(es.get_kernel("gauss1"), zero_radius=3.0).zero_radius == 3.0
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(es.get_kernel("bspline3"), log_support_radius=-0.5)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: es.check_kernel_conditions(es.mellin_bspline(3), 5.0, 1),
+        lambda: es.check_kernel_conditions(es.mellin_bspline(5), 5.0, 1),
+        lambda: es.lemma_suite(es.mellin_gaussian(1.1)),
+    ],
+    ids=["check-bspline3", "check-bspline5", "lemma-suite-gauss11"],
+)
+def test_fresh_kernel_scans_stay_small(call):
+    # blocks of 16 rows x 4096 points and the recursive B-spline peaked at 2.3 to 4.7 MB
+    assert _traced_peak(call) < 1_500_000

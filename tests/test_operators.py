@@ -48,6 +48,9 @@ class TestSamplingConfig:
             SamplingConfig(w=1.0, window_half_width=0)
         with pytest.raises(ConfigurationError):
             SamplingConfig(w=1.0, quadrature_points=0)
+        with pytest.raises(ConfigurationError, match="must be in 1..256, got 257"):
+            SamplingConfig(w=1.0, quadrature_points=257)  # leggauss would build a 257 x 257 matrix
+        assert SamplingConfig(w=1.0, quadrature_points=256).quadrature_points == 256
 
     def test_non_finite_rate_rejected(self):
         for w in (math.inf, math.nan):
