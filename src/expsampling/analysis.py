@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     DivergentMomentError,
     HypothesisNotMetError,
     InsufficientDataError,
@@ -38,12 +39,15 @@ from .kernels import (
     eta_lower_bound,
 )
 from .operators import (
+    _LOG_FLOAT_MAX,
     SamplingConfig,
     evaluate_on_grid,
     _as_log_values,
     _band,
+    _geometry,
     _join,
     _require_denominator,
+    _values,
 )
 from .spaces import (
     LogGrid,
@@ -434,11 +438,21 @@ def voronovskaja_check(
     lattice (the constancy condition fails), the check refuses to run unless
     `require_constant_moments=False`, in which case the measured variation is
     attached to the verdict.
+
+    The Mellin derivatives are evaluated at x = e^{log x}, so an x-grid on
+    which x overflows (log x beyond 709.78) or underflows to 0 raises
+    ConfigurationError before any work.
     """
     if r < 1:
         raise ValueError("expansion order r must be at least 1")
     if any(w < 1.0 for w in w_list):
         raise ValueError("expansion check requires w >= 1")
+    if x_grid.log_max > _LOG_FLOAT_MAX or math.exp(x_grid.log_min) == 0.0:
+        raise ConfigurationError(
+            f"x-grid {x_grid.spec()} reaches beyond the floats: voronovskaja_check evaluates the "
+            f"Mellin derivatives at x = e^(log x), which overflows for log x > {_LOG_FLOAT_MAX:.6g} "
+            "and underflows to 0 for log x < -745.13"
+        )
     report = _admissible(kernel, float(r + 5), r)
     _require(f.nonnegative, f"'{f.name}' is not registered nonnegative")
     if require_constant_moments and not report.chi3_holds:
@@ -610,10 +624,11 @@ def _tail_decay_checks(kernel: Kernel, pairs: Sequence[tuple], w: float) -> list
     for lo in range(-top, top + 2, _ROWS):
         ks = np.arange(lo, min(lo + _ROWS, top + 2))
         t = vs[None, :] - ks[:, None]
-        chi = np.abs(kernel.log_profile(t))
+        chi, abs_t = np.abs(kernel.log_profile(t)), np.abs(t)
         for row, (*_, cut, reach) in zip(per_u, scans):
-            own = (np.abs(t) > cut) & ((ks >= -reach) & (ks <= reach + 1))[:, None]
-            np.maximum(row, np.where(own, chi, -np.inf).max(axis=0), out=row)
+            own = slice(max(0, -reach - lo), max(0, reach + 2 - lo))  # the rows -reach <= k <= reach + 1
+            if chi[own].size:
+                np.maximum(row, np.where(abs_t[own] > cut, chi[own], -np.inf).max(axis=0), out=row)
     for row, (j, nu, delta, m_nu, cut, _) in zip(per_u, scans):
         i = int(np.argmax(row))
         lhs = float(row[i])
@@ -697,11 +712,14 @@ def max_product_lattice_checks(
     if config.interval is None:
         raise HypothesisNotMetError("lattice checks run in interval mode")
     vs = _as_log_values(grid)
-    first, chi, mask, active = _band(kernel, config, vs)
+    first, width, half, active, full = _geometry(kernel, config, vs)
+    chi, mask = _values(kernel, config.w * vs, first, width, half, active, full)  # no mask when full
     den = _join(chi, mask)
     _require_denominator(kernel, config, vs, den)
-    # column -> position in J_w; inactive columns read any sample and are masked
-    cols = np.clip(first[:, None] + np.arange(chi.shape[1]) - active.start, 0, len(active) - 1)
+    # the band as (width, points), so that a join is an elementwise max over its columns;
+    # column -> position in J_w, and inactive columns read any sample and are masked
+    chi, mask = chi.T.copy(), None if mask is None else mask.T.copy()
+    cols = np.clip(first + np.arange(width)[:, None] - active.start, 0, len(active) - 1)
     rng = np.random.default_rng(seed)
     names = {
         "monotone": "max_product_monotonicity",
@@ -712,7 +730,7 @@ def max_product_lattice_checks(
     worst = dict.fromkeys(names, -math.inf)
 
     def mg(vecs):
-        return _join(chi * vecs[:, cols], mask) / den
+        return _join(chi * vecs[:, cols], mask, axis=1) / den
 
     def fold(key, violation):  # vector by vector, as a running max over single vectors
         worst[key] = max(worst[key], *violation.max(axis=1).tolist())

@@ -84,18 +84,16 @@ class Kernel:
 
     `log_profile` is chi(e^t) as a function of t; `evaluate` exposes the
     x-domain view chi(x).  `log_support_radius` is R with chi(e^t) = 0 for
-    |t| > R (None for kernels without compact log-support), and `claimed_mu`
-    is the largest absolute-moment order the kernel is claimed to possess
-    (math.inf when every order is finite).  `zero_radius` is the offset
-    beyond which `log_profile` returns exactly 0.0 in floating point, for a
-    kernel without compact support whose values underflow (None otherwise);
-    only the operators' lattice band reads it, never the moment scans.
+    |t| > R (None for kernels without compact log-support).  `zero_radius`
+    is the offset beyond which `log_profile` returns exactly 0.0 in floating
+    point, for a kernel without compact support whose values underflow (None
+    otherwise); only the operators' lattice band reads it, never the moment
+    scans.
     """
 
     name: str
     log_profile: Callable[[np.ndarray], np.ndarray]
     log_support_radius: Optional[float]
-    claimed_mu: float
     description: str = ""
     zero_radius: Optional[float] = None
 
@@ -210,7 +208,6 @@ def mellin_bspline(order: int) -> Kernel:
         name=f"bspline{order}",
         log_profile=profile,
         log_support_radius=half,
-        claimed_mu=math.inf,
         description=f"centered cardinal B-spline of order {order} in log x",
     )
 
@@ -236,7 +233,6 @@ def mellin_gaussian(shape: float) -> Kernel:
         name=f"gauss{_fmt_param(shape)}",
         log_profile=profile,
         log_support_radius=None,
-        claimed_mu=math.inf,
         description=f"log-domain Gaussian exp(-{shape:g} log^2 x)",
         zero_radius=math.sqrt(745.2 / shape),
     )
@@ -263,7 +259,6 @@ def lin_kernel(c: float) -> Kernel:
         name=f"linc{_fmt_param(c)}",
         log_profile=profile,
         log_support_radius=None,
-        claimed_mu=0.0,
         description=f"damped sinc kernel x^(-c) sinc(log x) with c={c:g}",
     )
 
@@ -277,53 +272,82 @@ def _frac_grid() -> np.ndarray:
     return np.arange(_U_POINTS, dtype=float) / _U_POINTS
 
 
-def _absolute_term(chi, t, nu: float):
-    """|chi| |t|^nu, where a zero kernel value gives a zero term, not 0 * inf."""
-    out = np.abs(t)  # built in place: a scan block holds one temporary fewer
-    with np.errstate(over="ignore", invalid="ignore"):
-        out **= nu
-        out *= np.abs(chi)
-    out[chi == 0.0] = 0.0
+def _signed_term(chi, t, j: int):
+    """chi (-t)^j, built in place."""
+    out = -t
+    out **= j
+    out *= chi
     return out
+
+
+def _absolute_term(abs_chi, abs_t, zero, nu: float):
+    """|chi| |t|^nu from |chi|, |t| and the mask chi == 0: a zero kernel value gives a zero term, not 0 * inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = abs_t ** nu
+        out *= abs_chi
+    out[zero] = 0.0
+    return out
+
+
+def _fold_terms(chi, t, terms, fold):
+    """fold(n, term) for each n-th ("absolute", nu) or ("algebraic", j) in terms, on one block of
+    kernel values chi at offsets t.  The signed terms go first; then |chi| and |t| overwrite chi
+    and t, and every absolute term shares them and the mask chi == 0."""
+    for n, (kind, j) in enumerate(terms):
+        if kind == "algebraic":
+            fold(n, _signed_term(chi, t, j))
+    if any(kind == "absolute" for kind, _ in terms):
+        abs_chi, abs_t = np.abs(chi, out=chi), np.abs(t, out=t)
+        zero = abs_chi == 0.0
+        for n, (kind, nu) in enumerate(terms):
+            if kind == "absolute":
+                fold(n, _absolute_term(abs_chi, abs_t, zero, nu))
 
 
 def _tail_probe(kernel: Kernel, nu: float, start: float) -> float:
     """Estimate sup over |t| >= start of |chi(e^t)| |t|^nu on 4096 points of [start, start + 16]."""
     ts = np.linspace(start, start + 16.0, 4096)
-    vals = _absolute_term(kernel.log_profile(ts), ts, nu)
-    vals_neg = _absolute_term(kernel.log_profile(-ts), ts, nu)
-    return float(max(vals.max(), vals_neg.max()))
+    peaks = []
+    for chi in (kernel.log_profile(ts), kernel.log_profile(-ts)):
+        _fold_terms(chi, ts.copy(), [("absolute", nu)], lambda _, term: peaks.append(term.max()))
+    return float(max(peaks))
 
 
 def _join_k(kernel: Kernel, term, v: float, k0: int, h: int) -> int:
     """The first k in k0 - h ... k0 + h whose term attains the join at v."""
     ks = k0 + np.arange(-h, h + 1)
     t = v - ks
-    return int(ks[np.argmax(term(kernel.log_profile(t), t))])
+    found = []
+    _fold_terms(kernel.log_profile(t), t, [term], lambda _, values: found.append(int(ks[np.argmax(values)])))
+    return found[0]
 
 
 def _scan(kernel: Kernel, terms, vs: np.ndarray, k0: int) -> list:
-    """Join each term(chi(e^t), t), t = v - k, over k = k0 - h ... k0 + h at each v in vs.
+    """Join each term at t = v - k over k = k0 - h ... k0 + h at each v in vs.
 
-    `terms` holds (term, what, order) triples; chi is evaluated once per
-    block of _ROWS rows (about _BLOCK_POINTS entries) for every term still
-    scanning, and each term stops where its scan alone would.  Returns per
-    term (joins, h, settled), or its DivergentMomentError unraised.  A kernel
-    vanishing beyond offset R takes h = ceil(R) + 1.  Otherwise the window
-    widens by rings from h = 8 to 2048: the joins have settled when none
-    moves by more than 1e-12 max(1, peak), and they diverge when the peak
-    |join| grows by 1.5x on three doublings in a row.  A join that is not finite diverges on
+    `terms` holds (term, what, order) triples, a term being ("absolute", nu)
+    for |chi(e^t)| |t|^nu or ("algebraic", j) for chi(e^t) (-t)^j; chi is
+    evaluated once per block of _ROWS rows (about _BLOCK_POINTS entries) for
+    every term still scanning (`_fold_terms`), and each term stops where its
+    scan alone would.  Returns per term (joins, h, settled), or its
+    DivergentMomentError unraised.  A kernel vanishing beyond offset R takes
+    h = ceil(R) + 1.  Otherwise the window widens by rings from h = 8 to
+    2048: the joins have settled when none moves by more than
+    1e-12 max(1, peak), and they diverge when the peak |join| grows by 1.5x
+    on three doublings in a row.  A join that is not finite diverges on
     either branch, witnessed at the peak point.  Zero joins read +0.
     """
 
     def join(ks, live):
-        outs = [np.full(vs.shape, -np.inf) for _ in live]
+        outs, block = [np.full(vs.shape, -np.inf) for _ in live], [terms[i][0] for i in live]
+
+        def fold(n, term):
+            np.maximum(outs[n], term.max(axis=0), out=outs[n])
+
         for lo in range(0, len(ks), _ROWS):
             t = vs - ks[lo : lo + _ROWS, None]
-            chi = kernel.log_profile(t)
-            for out, i in zip(outs, live):
-                np.maximum(out, terms[i][0](chi, t).max(axis=0), out=out)
-        return [out + 0.0 for out in outs]
+            _fold_terms(kernel.log_profile(t), t, block, fold)
+        return [np.add(out, 0.0, out=out) for out in outs]
 
     def diverge(i, joins, h):
         term, what, order = terms[i]
@@ -369,8 +393,8 @@ def _scan(kernel: Kernel, terms, vs: np.ndarray, k0: int) -> list:
 def _spec(kind: str, order):
     """(term, what, order) of the absolute or the signed algebraic moment scan."""
     if kind == "absolute":
-        return (lambda chi, t: _absolute_term(chi, t, order)), f"absolute moment of order {order:g}", order
-    return (lambda chi, t: chi * (-t) ** order), f"algebraic moment of order {order}", float(order)
+        return (kind, order), f"absolute moment of order {order:g}", order
+    return (kind, order), f"algebraic moment of order {order}", float(order)
 
 
 # (kind, kernel object, order) -> a MomentEstimate or (min, max) pair, or the

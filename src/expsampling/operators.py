@@ -277,6 +277,7 @@ def _series(operator: str, kernel: Kernel, config: SamplingConfig, vs: np.ndarra
     span = np.zeros(hi - lo + width)
     k0, k1 = max(lo, active.start), min(hi + width, active.stop)
     span[k0 - lo : k1 - lo] = values_of(k0, k1)
+    finite = bool(np.isfinite(span).all())  # then no block needs its own test
     windows = np.ndarray((hi - lo + 1, width), float, span, 0, span.strides * 2)  # row i: span[i : i + width]
     c, n, step = config.w * vs, len(vs), max(1, _BLOCK_POINTS // width)
     values, den, unseen = np.empty(n), np.empty(n) if operator == "MG" else None, {}
@@ -284,8 +285,7 @@ def _series(operator: str, kernel: Kernel, config: SamplingConfig, vs: np.ndarra
         rows = slice(b, b + step)
         chi, mask = _values(kernel, c[rows], first[rows], width, half, active, full, damping)
         fv = windows[first[rows] - lo] if hi > lo else span[None, :]
-        bad = ~np.isfinite(fv)
-        if bad.any():
+        if not finite and (bad := ~np.isfinite(fv)).any():
             hit = bad & ((chi != 0.0) | (operator == "E")) & (True if mask is None else mask)
             for i in np.nonzero(hit.any(axis=1))[0]:
                 unseen[b + i] = int(first[b + i]) + int(hit[i].argmax())
@@ -296,12 +296,13 @@ def _series(operator: str, kernel: Kernel, config: SamplingConfig, vs: np.ndarra
         if operator != "MG" and mask is not None:
             chi[~mask] = 0.0
         values[rows] = _join(chi, mask) if operator == "MG" else chi.sum(axis=1)
+        del chi, mask, fv  # freed before the next block is built
     return values, den, unseen
 
 
-def _join(vals: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
-    """Row-wise max of vals over the active set (last axis, all of it where mask is None); a zero join reads +0."""
-    return (vals if mask is None else np.where(mask, vals, -np.inf)).max(axis=-1) + 0.0
+def _join(vals: np.ndarray, mask: Optional[np.ndarray], axis: int = -1) -> np.ndarray:
+    """Max of vals along `axis` over the active set (all of it where mask is None); a zero join reads +0."""
+    return (vals if mask is None else np.where(mask, vals, -np.inf)).max(axis=axis) + 0.0
 
 
 def _as_log_values(grid: Union[LogGrid, Sequence[float]]) -> np.ndarray:

@@ -85,7 +85,7 @@ class LogGrid:
 
 
 DEFAULT_OMEGA_GRID = LogGrid(-12.0, 12.0, 1025)
-_BLOCK_POINTS = 16384  # shifted points per block of the log-modulus scan and the lattice checks
+_BLOCK_POINTS = 8192  # entries per block of every scan and of the operators' lattice band
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,9 @@ def weighted_log_modulus_estimate(
     [-delta, delta]; the estimate is a refining lower bound of the true sup.
     `boundary_ratio` is the largest ratio attained on the outermost x rows,
     a diagnostic for mass escaping the truncated x-window.  The x rows are
-    scanned in blocks of about `_BLOCK_POINTS` shifted points.
+    scanned in blocks of about `_BLOCK_POINTS` shifted points, in two buffers
+    allocated once per call; a block raises EvaluationError before its
+    arithmetic when its own base or shifted values are not all finite.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -167,14 +169,23 @@ def weighted_log_modulus_estimate(
     vs = grid.log_values()
     ss = np.linspace(-delta, delta, shift_points) if shift_points > 1 else np.array([delta])
     base = np.asarray(f.evaluate_log(vs), dtype=float)
-    peaks, rows = [], max(1, _BLOCK_POINTS // ss.size)  # (first maximum, row, column) per block
+    finite = np.isfinite(base)
+    first_bad = vs.size if finite.all() else int(finite.argmin())  # the block holding it raises
+    rows = max(1, _BLOCK_POINTS // ss.size)
+    # per call: the shifted abscissae, which then hold the ratio, and the denominators
+    arg, den = np.empty((min(rows, vs.size), ss.size)), np.empty((min(rows, vs.size), ss.size))
+    v_den, s_den = 1.0 + vs * vs, 1.0 + ss * ss
+    peaks = []  # (first maximum, row, column) per block
     for lo in range(0, vs.size, rows):
-        v, b = vs[lo : lo + rows], base[lo : lo + rows]
-        shifted = np.asarray(f.evaluate_log(v[:, None] + ss[None, :]), dtype=float)
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(shifted))):
+        b = base[lo : lo + rows]
+        ratio = np.add(vs[lo : lo + rows, None], ss, out=arg[: b.size])
+        shifted = np.asarray(f.evaluate_log(ratio), dtype=float)
+        if first_bad < lo + b.size or not np.isfinite(shifted).all():
             raise EvaluationError(f"'{f.name}' produced non-finite values in the modulus scan")
-        ratio = np.abs(shifted - b[:, None]) / ((1.0 + v * v)[:, None] * (1.0 + ss * ss)[None, :])
-        i = int(np.argmax(ratio))
+        np.subtract(shifted, b[:, None], out=ratio)
+        np.abs(ratio, out=ratio)
+        np.divide(ratio, np.multiply(v_den[lo : lo + rows, None], s_den, out=den[: b.size]), out=ratio)
+        i = int(ratio.argmax())
         peaks.append((float(ratio.flat[i]), lo + i // ss.size, i % ss.size))
         top = ratio[0].max() if lo == 0 else top
     # np.argmax picks the block holding the first flat maximiser, or the first NaN

@@ -9,6 +9,7 @@ import pytest
 
 import expsampling as es
 from expsampling import (
+    ConfigurationError,
     DegenerateDenominatorError,
     ErrorRow,
     ErrorTable,
@@ -250,6 +251,17 @@ class TestVoronovskaja:
         with pytest.raises(ValueError):
             voronovskaja_check(es.get_function("damped_log2"), es.get_kernel("bspline3"), 0, (8.0,), GRID)
 
+    @pytest.mark.parametrize("grid", [LogGrid(700.0, 800.0, 5), LogGrid(-800.0, -700.0, 5)])
+    def test_refuses_a_grid_beyond_the_floats_before_any_scan(self, grid, monkeypatch):
+        # e^(log x) overflows, or underflows to 0, there: the Mellin derivatives read NaN
+        def no_scan(*args):
+            raise AssertionError("the kernel was scanned before the grid was checked")
+
+        monkeypatch.setattr(analysis, "check_kernel_conditions", no_scan)
+        with pytest.raises(ConfigurationError, match=f"x-grid {grid.spec()} reaches beyond the floats"):
+            voronovskaja_check(es.get_function("weight"), es.get_kernel("bspline3"), 1, (8.0,), grid,
+                               require_constant_moments=False)
+
 
 def oracle_tail_decay_check(
     kernel: Kernel,
@@ -300,7 +312,7 @@ def oracle_tail_decay_check(
 # whose reach covers 50 may see it.  Each rate's pairs reach cuts below and
 # beyond the support and zero radii; nu = 5 diverges for linc.
 FAR_BUMP = Kernel(
-    "far_bump", lambda t: np.exp(-np.square(t)) + np.exp(-4.0 * np.square(t - 50.0)), None, math.inf
+    "far_bump", lambda t: np.exp(-np.square(t)) + np.exp(-4.0 * np.square(t - 50.0)), None
 )
 TAIL_KERNELS = [
     *(es.get_kernel(n) for n in sorted(es.KERNELS)),

@@ -213,7 +213,7 @@ def test_degenerate_error_carries_the_whole_active_set():
         max_product_series_on_grid(b3, samples, [math.exp(-3.0)], interval)
     assert err.value.index_set == list(range(0, 9))
 
-    zero = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0, 0.0)
+    zero = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0)
     window = SamplingConfig(w=2.0, window_half_width=5)
     samples = ExpSamples(2.0, {k: 1.0 for k in range(-10, 11)})
     with pytest.raises(DegenerateDenominatorError) as err:
@@ -271,7 +271,7 @@ def test_columns_match_the_row_loop(case):
         assert_rows_match(evaluate_on_grid(op, f, kernel, config, grid, c=c), row_loop(op, f, kernel, config, grid, c))
 
 
-ZERO_KERNEL = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0, 0.0)
+ZERO_KERNEL = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0)
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,11 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
+
+import expsampling as es
 
 from expsampling import cli
 from expsampling.cli import _csv_payload, _md_payload, build_parser, list_registries, main
@@ -512,6 +515,24 @@ class TestFarOutAndOverflow:
         results = strict_json(out_file.read_text())["results"]
         assert "2000" not in results["absolute_moments"] and not results["chi1_holds"]
 
+    @pytest.mark.parametrize("grid", ["700:800:5", "-800:-700:5", "-1:709.79:3", "-745.2:0:3"])
+    def test_voronovskaja_refuses_a_grid_beyond_the_floats(self, grid, tmp_path, capsys):
+        # there x = e^(log x) overflows or underflows to 0, and the verdict read lhs NaN with exit 1
+        out_file = tmp_path / "v.json"
+        code, out, err = run_cli(["voronovskaja", "--kernel", "bspline3", "--function", "weight", "--grid", grid,
+                                  "--w", "8", "--allow-varying-moments", "--output", str(out_file)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: x-grid {grid} reaches beyond the floats") and err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_voronovskaja_runs_at_the_edges_of_the_floats(self, tmp_path, capsys):
+        out_file = tmp_path / "v.json"
+        code, _, _ = run_cli(["voronovskaja", "--kernel", "bspline3", "--function", "weight", "--grid",
+                              "-745:709.78:3", "--w", "8", "--allow-varying-moments", "--output", str(out_file)],
+                             capsys)
+        [check] = strict_json(out_file.read_text())["results"]
+        assert code == 0 and check["holds"] and math.isfinite(check["lhs"])
+
 
 class TestConverge:
     def test_decreasing_errors_csv(self, tmp_path, capsys):
@@ -660,3 +681,43 @@ class TestSuite:
         )
         rows = [line.strip("| ").split(" | ") for line in md[-2].splitlines()[2:]]
         assert [parse(cells) for cells in rows] == want
+
+
+class TestTheoryCheckMemory:
+    """The benchmark's `theory_checks` round, run in process on fresh kernels."""
+
+    @staticmethod
+    def commands(gauss):
+        return [
+            ["kernel-check", "--kernel", "bspline3", "--mu", "5", "--r", "1"],
+            ["kernel-check", "--kernel", gauss, "--mu", "5", "--r", "1"],
+            ["rate", "--kernel", gauss, "--function", "weight", "--w", "8,16"],
+            ["voronovskaja", "--kernel", "bspline3", "--function", "damped_log2", "--w", "8,16",
+             "--allow-varying-moments"],
+            ["converge", "--kernel", "bspline3", "--function", "weight"],
+            ["suite", "--kernels", gauss],
+        ]
+
+    def round(self, shape, tmp_path, capsys, monkeypatch):
+        """Each command's tracemalloc peak, after fresh bspline3 and Gaussian kernels are registered."""
+        monkeypatch.setitem(es.KERNELS, "bspline3", es.mellin_bspline(3))
+        gauss = es.mellin_gaussian(shape)
+        monkeypatch.setitem(es.KERNELS, gauss.name, gauss)
+        peaks = {}
+        for i, argv in enumerate(self.commands(gauss.name)):
+            tracemalloc.start()
+            try:
+                code = main(argv + ["--output", str(tmp_path / f"{i}.json")])
+                peaks[argv[0], argv[2]] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, argv
+        capsys.readouterr()
+        return peaks
+
+    @pytest.mark.parametrize("shape", [0.75, 1.1, 1.5])
+    def test_each_command_stays_under_0_85_mb(self, shape, tmp_path, capsys, monkeypatch):
+        self.round(shape, tmp_path, capsys, monkeypatch)  # warm: the parser and numpy's first calls
+        peaks = self.round(shape, tmp_path, capsys, monkeypatch)
+        # blocks of 16,384 entries peaked at 0.96 to 1.18 MB in kernel-check and voronovskaja
+        assert max(peaks.values()) < 850_000, peaks

@@ -93,6 +93,9 @@ def _cases():
     # refused before leggauss would ask for a 74.5 GiB matrix
     add(["reconstruct", "--kernel", "bspline3", "--function", "weight", "--op", "I", "--quad-points", "100000"],
         "quad-points-cap.json")
+    # refused: x = e^(log x) overflows beyond log x = 709.78, where the Mellin derivatives read NaN
+    add(["voronovskaja", "--kernel", "bspline3", "--function", "weight", "--grid", "700:800:5", "--w", "8",
+         "--allow-varying-moments"], "voronovskaja-far-grid.json")
     add(["list"])
     # without --output: stdout is the artifact
     add(["kernel-check", "--kernel", "bspline3", "--mu", "5", "--r", "1"])
@@ -200,3 +203,19 @@ def test_recorded_config_reproduces_the_artifact(argv, runs, tmp_path):
     code_again, out_again, _, artifact_again = run_case(again, str(tmp_path))
     assert code_again == code
     assert (out_again.encode() if artifact_again is None else artifact_again) == artifact
+
+
+def test_regen_names_added_removed_and_moved_invocations():
+    from regen_golden import table_changes
+
+    def row(*argv, exit=0, artifact="a1"):
+        return {"argv": list(argv), "exit": exit, "stdout": "o", "stderr": "e", "artifact": artifact}
+
+    old = {tuple(r["argv"]): r for r in (row("kept"), row("gone"), row("moved", "x"), row("exits", "y"))}
+    new = [row("kept"), row("moved", "x", artifact="a2"), row("exits", "y", exit=2, artifact=None), row("new")]
+    assert table_changes(old, new) == {
+        "added": ["new"],
+        "removed": ["gone"],
+        "moved": ["moved x  (artifact)", "exits y  (exit, artifact)"],
+    }
+    assert table_changes(ROWS, list(ROWS.values())) == {"added": [], "removed": [], "moved": []}

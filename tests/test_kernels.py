@@ -227,7 +227,7 @@ class TestEta:
     def test_grid_includes_both_endpoints(self):
         # the minimum over 4097 uniform points of log x in [0, 1]
         for profile in (lambda t: 1.0 + t, lambda t: 2.0 - t, lambda t: 1.0 + np.abs(t - 0.5)):
-            kernel = es.Kernel("eta_probe", profile, None, math.inf)
+            kernel = es.Kernel("eta_probe", profile, None)
             assert es.eta_lower_bound(kernel) == 1.0
 
 
@@ -286,7 +286,7 @@ class TestConditionChecker:
         assert rep.chi3_holds
 
     def test_degenerate_kernel_is_verdict_not_error(self):
-        zero = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0, 0.0)
+        zero = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0)
         rep = es.check_kernel_conditions(zero, mu=1.0, r=0)
         assert not rep.chi2_holds
 
@@ -461,7 +461,7 @@ def _scan_outcome(call):
 
 # (kernel, absolute orders, algebraic orders): linc0 and linc1 diverge at the
 # higher orders; the far bump settles before its mass at log-offset 50
-FAR_BUMP = Kernel("far_bump", lambda t: np.exp(-np.square(t)) + np.exp(-4.0 * np.square(t - 50.0)), None, math.inf)
+FAR_BUMP = Kernel("far_bump", lambda t: np.exp(-np.square(t)) + np.exp(-4.0 * np.square(t - 50.0)), None)
 SHARED_PASS_CASES = [
     *((es.get_kernel(n), (0.0, 0.5, 1.0, 1.5, 2.0, 5.0, 6.0), range(4)) for n in sorted(es.KERNELS)),
     (FAR_BUMP, (0.0, 1.0, 5.0), range(3)),
@@ -548,12 +548,12 @@ def test_kernel_rejects_a_negative_or_non_finite_radius(field, radius):
     # formerly S = 0 with no note, numpy's "strides is incompatible" error, or OverflowError
     fields = {"log_support_radius": None, "zero_radius": None, field: radius}
     with pytest.raises(ConfigurationError, match=field):
-        Kernel("bad", es.get_kernel("gauss1").log_profile, claimed_mu=math.inf, **fields)
+        Kernel("bad", es.get_kernel("gauss1").log_profile, **fields)
 
 
 def test_kernel_accepts_finite_nonnegative_radii():
     profile = es.get_kernel("gauss1").log_profile
-    assert Kernel("zero_radii", profile, 0.0, math.inf, zero_radius=0.0).log_support_radius == 0.0
+    assert Kernel("zero_radii", profile, 0.0, zero_radius=0.0).log_support_radius == 0.0
     assert dataclasses.replace(es.get_kernel("gauss1"), zero_radius=3.0).zero_radius == 3.0
     with pytest.raises(ConfigurationError):
         dataclasses.replace(es.get_kernel("bspline3"), log_support_radius=-0.5)

@@ -166,7 +166,7 @@ class TestMaxProduct:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_degenerate_denominator(self):
-        zero = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0, 0.0)
+        zero = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0)
         cfg = SamplingConfig(w=2.0, interval=(1.0, math.e))
         s = ExpSamples(2.0, {k: 1.0 for k in index_set(cfg)})
         with pytest.raises(DegenerateDenominatorError) as err:
@@ -374,7 +374,7 @@ class TestEvaluateOnGrid:
             evaluate_on_grid("Q", es.get_function("one"), es.get_kernel("bspline2"), SamplingConfig(w=1.0), LogGrid(-1, 1, 5))
 
     def test_degenerate_points_recorded_not_fatal(self):
-        zero = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0, 0.0)
+        zero = es.Kernel("zero", lambda t: np.zeros_like(np.asarray(t, float)), 1.0)
         rows = evaluate_on_grid("MG", es.get_function("one"), zero, SamplingConfig(w=2.0), LogGrid(-1, 1, 9))
         assert all(math.isnan(r.value) for r in rows)
         assert all("degenerate" in r.note for r in rows)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import expsampling as es
 from expsampling import LogGrid, UnsupportedOrderError
 from expsampling.errors import EvaluationError
 from expsampling.spaces import (
+    _BLOCK_POINTS,
     DEFAULT_OMEGA_GRID,
     OmegaEstimate,
     WeightedFunction,
@@ -359,13 +361,19 @@ class TestBlockedLogModulus:
         f = WeightedFunction(
             "blows_up", lambda x: x, log_evaluate=lambda v: np.where(np.asarray(v) > 7.99, np.inf, 1.0)
         )
-        grid = LogGrid(-8.0, 8.0, 251)  # 127-row blocks at 129 shifts: only rows 127.. reach v > 7.99
+        # two blocks of _BLOCK_POINTS // 129 rows, the second short by three: with shifts up to 0.5,
+        # only rows of the second block reach v > 7.99
+        rows = _BLOCK_POINTS // 129
+        grid = LogGrid(-8.0, 8.0, 2 * rows - 3)
+        assert grid.log_values()[rows - 1] + 0.5 <= 7.99 < grid.log_values()[-1] + 0.5
         with pytest.raises(EvaluationError) as old:
             oracle_log_modulus_estimate(f, 0.5, grid, 129)
         calls = []
         counted = WeightedFunction("blows_up", f.evaluate, log_evaluate=lambda v: calls.append(1) or f.log_evaluate(v))
-        with pytest.raises(EvaluationError) as new:
-            weighted_log_modulus_estimate(counted, 0.5, grid, 129)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the check precedes the arithmetic
+            with pytest.raises(EvaluationError) as new:
+                weighted_log_modulus_estimate(counted, 0.5, grid, 129)
         assert str(new.value) == str(old.value)
         assert len(calls) == 3  # base, then two blocks: the error comes from the last
 
